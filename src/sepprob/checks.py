@@ -227,6 +227,20 @@ def check_exact_pipeline() -> Check:
     return ("exact pipeline", True, "Vandermonde, halves, order invariance, radial identity, 8/33")
 
 
+def ppt_decision_mismatch(w: np.ndarray, tol: float = sp.PPT_TOL) -> str | None:
+    """None when the determinant decision on the positive 4x4 blocks ``w``
+    gives the PPT and indeterminate-band masks that eigvalsh of the
+    normalised partial transposes gives; otherwise how they differ."""
+    ppt, band = sp._ppt_decide(w, tol)
+    mins = sp.ppt_min_eigs(w / np.einsum("bii->b", w).real[:, None, None])
+    for name, got, want in (("PPT", ppt, mins >= -tol), ("band", band, np.abs(mins) < tol)):
+        bad = np.flatnonzero(got != want)
+        if bad.size:
+            first = mins[bad[0]]
+            return f"{name} mask differs on {bad.size} of {len(w)} states (first at lambda_min {first:.3e})"
+    return None
+
+
 def check_sampling_core(seed: int) -> Check:
     rng = sp.stream_rng(seed)
     rho = sp.hs_random_state(4, rng)
@@ -245,11 +259,20 @@ def check_sampling_core(seed: int) -> Check:
         return ("sampling core", False, "maximally entangled state misses min eigenvalue -1/2")
     if sp.is_ppt(bell):
         return ("sampling core", False, "maximally entangled state passed the transpose test")
+    # 2000 unnormalised G G^dag draws, plus the Werner state at p = 1/3
+    # (lambda_min = 0), which takes the eigvalsh fallback.
+    g = sp._ginibre(4, sp.stream_rng(seed, 1), 2000)
+    werner = (np.eye(4) / 2 + bell) / 3
+    w = np.concatenate([g @ g.conj().transpose(0, 2, 1), werner[None]])
+    mismatch = ppt_decision_mismatch(w)
+    if mismatch:
+        return ("sampling core", False, f"determinant decision disagrees with eigvalsh: {mismatch}")
     est1 = sp.estimate_sep_prob(sp.SamplerConfig(seed=seed, count=2000))
     est2 = sp.estimate_sep_prob(sp.SamplerConfig(seed=seed, count=2000), threads=4)
     if est1 != est2:
         return ("sampling core", False, "estimator is not thread-deterministic")
-    return ("sampling core", True, "validity, unitarity, transpose, entangled witness, determinism")
+    detail = "validity, unitarity, transpose, entangled witness, det decision, determinism"
+    return ("sampling core", True, detail)
 
 
 def check_fixed_spectrum(seed: int, count: int = 20000) -> Check:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -58,8 +59,8 @@ def _parse_spectrum(text: str) -> Spectrum:
 def _positive(kind):
     def parse(text: str):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
 
     return parse

@@ -12,6 +12,7 @@ the sample range into fixed blocks, one stream per block.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -22,6 +23,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 PPT_TOL = 1e-10
+# Below this |det(rho^Gamma)| the determinant's sign is left to eigvalsh: far
+# above the det's rounding error (~1e-16) for any tolerance.
+_DET_FLOOR = 1e-12
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32768
@@ -42,7 +46,16 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs shared by the samplers; burn_in and thinning only matter for
-    the hit-and-run walk."""
+    the hit-and-run walk.
+
+    ``tolerance`` is the half-width of the indeterminate band around zero for
+    the smallest partial-transpose eigenvalue lambda_min: a state counts as
+    PPT when lambda_min >= -tolerance, and as indeterminate when
+    |lambda_min| < tolerance.  The decision itself reads the sign of
+    det(rho^Gamma) and only calls eigvalsh on states whose |det| is below
+    max(tolerance, 1e-12), a band that contains every |lambda_min| < tolerance
+    state (see ``estimate_sep_prob``).
+    """
 
     seed: int
     count: int
@@ -57,6 +70,8 @@ class SamplerConfig:
             raise ValueError("burn_in must be nonnegative")
         if self.thinning < 1:
             raise ValueError("thinning must be at least 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
 
 
 def is_valid_density_matrix(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -78,9 +93,7 @@ def _ginibre(n: int, rng: np.random.Generator, size: int | None = None) -> np.nd
 def hs_random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """One density matrix under the flat measure: G G^dag normalized, with G
     a square standard complex Gaussian matrix."""
-    g = _ginibre(n, rng)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return _hs_random_block(n, rng, 1)[0]
 
 
 def _hs_random_block(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -100,9 +113,7 @@ def hs_random_states(n: int, count: int, seed: int, threads: int = 1) -> np.ndar
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix, with the R diagonal
     rotated to be positive so the factorization is measure-correct."""
-    q, r = np.linalg.qr(_ginibre(n, rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_block(n, rng, 1)[0]
 
 
 def _haar_block(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -153,10 +164,56 @@ def ppt_min_eigs(states: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_pt_block(states))[:, 0]
 
 
+# Partial transpose on the second qubit as a flat index map:
+# rho^Gamma[2i+j, 2k+l] = rho[2i+l, 2k+j].
+_PT_FLAT = np.array(
+    [4 * (2 * i + l) + 2 * k + j for i in (0, 1) for j in (0, 1) for k in (0, 1) for l in (0, 1)]
+)
+
+
+def _pt_det(w: np.ndarray) -> np.ndarray:
+    """det of the partial transpose of each 4x4 Hermitian block, by Laplace
+    expansion along rows 0-1 in complementary 2x2 minors."""
+    p = w.reshape(len(w), 16).T[_PT_FLAT]
+
+    def minor(r0, r1, c0, c1):
+        return p[4 * r0 + c0] * p[4 * r1 + c1] - p[4 * r0 + c1] * p[4 * r1 + c0]
+
+    det = (
+        minor(0, 1, 0, 1) * minor(2, 3, 2, 3) - minor(0, 1, 0, 2) * minor(2, 3, 1, 3)
+        + minor(0, 1, 0, 3) * minor(2, 3, 1, 2) + minor(0, 1, 1, 2) * minor(2, 3, 0, 3)
+        - minor(0, 1, 1, 3) * minor(2, 3, 0, 2) + minor(0, 1, 2, 3) * minor(2, 3, 0, 1)
+    )
+    return det.real
+
+
+def _ppt_decide(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """PPT and indeterminate-band masks for a batch of positive 4x4 blocks of
+    any trace: (m >= -tol, |m| < tol) with m = ppt_min_eigs(w / tr w).
+
+    rho^Gamma has at most one negative eigenvalue, so the sign of
+    det(rho^Gamma) decides PPT.  For trace-one rho, |det rho^Gamma| <=
+    |lambda_min| / 8, so every state with |lambda_min| < tol has |det| < tol
+    and goes to eigvalsh; the rest are decided by the det alone.
+    """
+    tr = np.einsum("bii->b", w).real
+    det = _pt_det(w) / tr**4
+    near = np.abs(det) < max(tol, _DET_FLOOR)
+    ppt = det > 0
+    band = np.zeros(len(w), dtype=bool)
+    if near.any():
+        mins = ppt_min_eigs(w[near] / tr[near, None, None])
+        ppt[near] = mins >= -tol
+        band[near] = np.abs(mins) < tol
+    return ppt, band
+
+
 def is_ppt(rho: np.ndarray, tol: float = PPT_TOL) -> bool:
     """Peres-Horodecki test: partial transpose positive semidefinite up to
-    ``tol``.  For two qubits this decides separability exactly."""
-    return float(np.linalg.eigvalsh(partial_transpose(rho))[0]) >= -tol
+    ``tol``.  For two qubits this decides separability exactly.  ``rho`` must
+    be a 4x4 density matrix; ``tol`` bounds its smallest transposed
+    eigenvalue as in ``SamplerConfig.tolerance``."""
+    return bool(_ppt_decide(rho[None], tol)[0][0])
 
 
 def is_half_bounded(rho: np.ndarray, tol: float = PPT_TOL) -> bool:
@@ -195,22 +252,29 @@ class SepEstimate(NamedTuple):
 def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
     """Monte Carlo separability fraction over flat-measure two-qubit states.
 
-    Counts partial transposes with smallest eigenvalue >= -tolerance;
-    samples inside the (-tol, tol) band are reported separately as
-    indeterminate.  Deterministic given the seed.
+    Counts states whose partial transpose has smallest eigenvalue
+    lambda_min >= -tolerance; states with |lambda_min| < tolerance are
+    also reported as indeterminate.  Deterministic given the seed.
+
+    The decision reads the sign of det(rho^Gamma) on the unnormalised
+    G G^dag: for two qubits rho^Gamma has at most one negative eigenvalue,
+    so rho is PPT exactly when det(rho^Gamma) >= 0 (Augusiak, Demianowicz &
+    Horodecki, PRA 77, 030301(R), 2008).  For trace-one rho the other three
+    eigenvalues multiply to at most 1/8, so |det rho^Gamma| <= |lambda_min|/8;
+    states with |det rho^Gamma| < max(tolerance, 1e-12), which include every
+    state in the band, fall back to eigvalsh.  The counts are those of
+    ``ppt_min_eigs`` on the normalised states.
     """
     if config.count < 1000:
         raise ValueError("estimate_sep_prob needs at least 1000 samples")
     tol = config.tolerance
-    totals = {"ppt": 0, "band": 0}
 
     def block_stats(rng, size):
-        states = _hs_random_block(4, rng, size)
-        mins = ppt_min_eigs(states)
-        return np.array([int(np.sum(mins >= -tol)), int(np.sum(np.abs(mins) < tol))])
+        g = _ginibre(4, rng, size)
+        ppt, band = _ppt_decide(g @ g.conj().transpose(0, 2, 1), tol)
+        return np.array([[np.count_nonzero(ppt), np.count_nonzero(band)]])
 
-    counts = _blocked_map(lambda rng, size: block_stats(rng, size)[None, :], config.count,
-                          config.seed, threads, (2,))
+    counts = _blocked_map(block_stats, config.count, config.seed, threads, (2,))
     ppt = int(counts[:, 0].sum())
     band = int(counts[:, 1].sum())
     frac = ppt / config.count
@@ -220,9 +284,7 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
 
 def sample_fixed_spectrum(spectrum: Sequence[float], rng: np.random.Generator) -> np.ndarray:
     """One state with the given spectrum, uniformly over the unitary orbit."""
-    lam = np.asarray([float(x) for x in spectrum])
-    u = haar_unitary(len(lam), rng)
-    return (u * lam) @ u.conj().T
+    return _fixed_spectrum_block(np.asarray([float(x) for x in spectrum]), rng, 1)[0]
 
 
 def _fixed_spectrum_block(lam: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -384,15 +446,13 @@ def conditioned_ppt_stats(
     from the agreement figure and reported as band_count.
     """
     states = conditioned_samples(a, config, chains)
-    mins = ppt_min_eigs(states)
-    lam_max = np.linalg.eigvalsh(states)[:, -1]
-
     tol = config.tolerance
-    ppt = mins >= -tol
+    ppt, indeterminate = _ppt_decide(states, tol)
+    lam_max = np.linalg.eigvalsh(states)[:, -1]
     halfb = lam_max <= 0.5 + tol
     in_band = np.abs(lam_max - 0.5) < band
     outside = ~in_band
     agree = float(np.mean(ppt[outside] == halfb[outside])) if outside.any() else 1.0
     frac = float(np.mean(ppt))
     stderr = float(np.sqrt(frac * (1.0 - frac) / len(states)))
-    return ConditionedStats(frac, stderr, agree, int(in_band.sum()), int(np.sum(np.abs(mins) < tol)))
+    return ConditionedStats(frac, stderr, agree, int(in_band.sum()), int(indeterminate.sum()))

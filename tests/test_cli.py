@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sepprob.cli import main
 
 
@@ -140,6 +142,15 @@ class TestSampleVerb:
     def test_negative_count_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "sample", "sep", "--n", "-5")
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("sample", "sep", "--n", "2000"), ("sample", "conditioned", "--a", "0.2", "--n", "100"), ("density",)],
+    )
+    def test_non_finite_tolerance_is_usage_error(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert code == 2 and out == "" and "finite" in err
 
     def test_conditioned_payload(self, capsys):
         code, rep, _ = run_json(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sepprob import sampling as sp
+from sepprob.checks import ppt_decision_mismatch
 from sepprob.dh_density import marginal_support, moment_polytope
 from sepprob.volumes import Spectrum
 
@@ -153,6 +154,45 @@ class TestTransposeTest:
         band = 1e-10
         outside = (np.abs(mins) > band) & (np.abs(mins_rot) > band)
         assert np.all((mins[outside] >= 0) == (mins_rot[outside] >= 0))
+
+
+def gaussian_squares(seed: int, count: int) -> np.ndarray:
+    g = sp._ginibre(4, sp.stream_rng(seed), count)
+    return g @ g.conj().transpose(0, 2, 1)
+
+
+class TestDeterminantDecision:
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_masks_match_eigvalsh(self, seed):
+        assert ppt_decision_mismatch(gaussian_squares(seed, 100_000)) is None
+
+    def test_masks_match_eigvalsh_wide_band(self):
+        # A wide band sends thousands of states through the eigvalsh fallback.
+        assert ppt_decision_mismatch(gaussian_squares(34, 100_000), tol=1e-3) is None
+
+    @pytest.mark.parametrize("tol", [sp.PPT_TOL, 1e-4])
+    def test_estimator_counts_match_eigvalsh(self, tol):
+        n = 100_000
+        mins = sp.ppt_min_eigs(sp.hs_random_states(4, n, seed=35))
+        want = (int(np.sum(mins >= -tol)), int(np.sum(np.abs(mins) < tol)))
+        for threads in (1, 3):
+            config = sp.SamplerConfig(seed=35, count=n, tolerance=tol)
+            est = sp.estimate_sep_prob(config, threads=threads)
+            assert (est.ppt_count, est.indeterminate) == want
+
+    def test_werner_boundary_is_indeterminate(self):
+        ppt, band = sp._ppt_decide(np.stack([werner(1 / 3), 3.0 * werner(1 / 3)]), sp.PPT_TOL)
+        assert ppt.all() and band.all()
+
+    @pytest.mark.parametrize("scale, ppt, band", [(0.5, True, True), (-0.5, True, True), (-2.0, False, False)])
+    def test_fallback_near_zero(self, scale, ppt, band):
+        # lambda_min = (1 - 3p)/4 = scale * tol.  At -tol/2 the det is
+        # negative, so only the eigvalsh fallback can call the state PPT.
+        tol = sp.PPT_TOL
+        rho = werner((1 - 4 * scale * tol) / 3)
+        assert abs(np.linalg.eigvalsh(sp.partial_transpose(rho))[0] - scale * tol) < 1e-15
+        got_ppt, got_band = sp._ppt_decide(rho[None], tol)
+        assert (got_ppt[0], got_band[0]) == (ppt, band)
 
 
 class TestHalfBounded:
@@ -310,3 +350,8 @@ class TestConfigValidation:
             sp.SamplerConfig(seed=1, count=10, burn_in=-1)
         with pytest.raises(ValueError):
             sp.SamplerConfig(seed=1, count=10, thinning=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            sp.SamplerConfig(seed=1, count=10, tolerance=tol)
