@@ -116,7 +116,7 @@ def check_density_routes(seed: int, points_per_chamber: int = 100) -> Check:
     worst = 0.0
     for label in ("C0", "C1", "C2", "C3"):
         for _ in range(points_per_chamber):
-            pt = _chamber_point(rng, label)
+            pt = chamber_point(rng, label)
             err = abs(dh.fiber_polytope_density(pt) - float(closed.evaluate(*pt)))
             worst = max(worst, err)
     if worst > 1e-9:
@@ -124,7 +124,9 @@ def check_density_routes(seed: int, points_per_chamber: int = 100) -> Check:
     return ("density routes", True, f"jump==closed, walls exact, oracle max err {worst:.1e}")
 
 
-def _chamber_point(rng: random.Random, label: str) -> tuple[Fraction, Fraction]:
+def chamber_point(rng: random.Random, label: str) -> tuple[Fraction, Fraction]:
+    """A random rational point (r, s) with denominator 997 inside chamber
+    ``label`` (C0..C3); the one generator behind every density-oracle check."""
     den = 997
     rr = Fraction(-rng.randint(1, 5 * den), den)
     if label == "C1":

@@ -138,7 +138,7 @@ def _oracle_rows(closed, points: int, seed: int):
     worst = 0.0
     for label in dh.CHAMBER_LABELS:
         for _ in range(points):
-            pt = checks._chamber_point(rng, label)
+            pt = checks.chamber_point(rng, label)
             exact = float(closed.evaluate(*pt))
             oracle = dh.fiber_polytope_density(pt)
             err = abs(exact - oracle)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, pi, sqrt
+from operator import add
 from typing import Mapping, Sequence
 
 Rational = Fraction
@@ -39,6 +40,29 @@ def decimal_str(x: float) -> str:
     return format(x, ".17g")
 
 
+def _add_into(acc: dict[Exponent, Fraction], terms: Mapping[Exponent, Fraction]) -> None:
+    """acc += terms, in place; zero sums stay until the result is wrapped."""
+    get = acc.get
+    for e, c in terms.items():
+        old = get(e)
+        acc[e] = c if old is None else old + c
+
+
+def _mul_into(
+    acc: dict[Exponent, Fraction],
+    left: Mapping[Exponent, Fraction],
+    right: Mapping[Exponent, Fraction],
+) -> None:
+    """acc += left * right, in place, for two term maps of one arity."""
+    get = acc.get
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            old = get(e)
+            acc[e] = c if old is None else old + c
+
+
 class MultiPoly:
     """Multivariate polynomial with exact rational coefficients.
 
@@ -63,6 +87,19 @@ class MultiPoly:
                 if coeff != 0:
                     clean[tuple(exps)] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict[Exponent, Fraction]) -> "MultiPoly":
+        """Wrap a dict built by this class's own arithmetic.
+
+        The keys must already be exponent tuples of length ``arity`` and the
+        values Fractions; only zero coefficients are dropped.  Input from
+        outside the class goes through the checking public constructor.
+        """
+        p = object.__new__(cls)
+        p.arity = arity
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -102,14 +139,13 @@ class MultiPoly:
             other = MultiPoly.constant(self.arity, other)
         self._check_arity(other)
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.arity, terms)
+        _add_into(terms, other.terms)
+        return MultiPoly._trusted(self.arity, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -122,14 +158,11 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
-            return MultiPoly(self.arity, {e: k * c for e, k in self.terms.items()})
+            return MultiPoly._trusted(self.arity, {e: k * c for e, k in self.terms.items()})
         self._check_arity(other)
         terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.arity, terms)
+        _mul_into(terms, self.terms, other.terms)
+        return MultiPoly._trusted(self.arity, terms)
 
     __rmul__ = __mul__
 
@@ -227,9 +260,10 @@ class MultiPoly:
         if not isinstance(value, MultiPoly):
             value = MultiPoly.constant(self.arity, value)
         self._check_arity(value)
-        # Group by the exponent of var, then use Horner on cached powers.
+        # Each term times the cached power of ``value``, all accumulated
+        # into one dict.
         powers: dict[int, MultiPoly] = {0: MultiPoly.constant(self.arity, 1)}
-        result = MultiPoly(self.arity)
+        terms: dict[Exponent, Fraction] = {}
         for exps, coeff in self.terms.items():
             k = exps[var]
             if k not in powers:
@@ -238,10 +272,9 @@ class MultiPoly:
                 for j in range(m + 1, k + 1):
                     p = p * value
                     powers[j] = p
-            rest = list(exps)
-            rest[var] = 0
-            result = result + MultiPoly(self.arity, {tuple(rest): coeff}) * powers[k]
-        return result
+            rest = exps[:var] + (0,) + exps[var + 1 :]
+            _mul_into(terms, {rest: coeff}, powers[k].terms)
+        return MultiPoly._trusted(self.arity, terms)
 
     def derivative(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.arity:
@@ -254,7 +287,7 @@ class MultiPoly:
             e = list(exps)
             e[var] = k - 1
             terms[tuple(e)] = coeff * k
-        return MultiPoly(self.arity, terms)
+        return MultiPoly._trusted(self.arity, terms)
 
     def antiderivative(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.arity:
@@ -264,7 +297,7 @@ class MultiPoly:
             e = list(exps)
             e[var] = exps[var] + 1
             terms[tuple(e)] = coeff / (exps[var] + 1)
-        return MultiPoly(self.arity, terms)
+        return MultiPoly._trusted(self.arity, terms)
 
     def shift_down(self, var: int, k: int) -> "MultiPoly":
         """Divide exactly by var**k (every term must carry at least var**k)."""
@@ -275,7 +308,7 @@ class MultiPoly:
             e = list(exps)
             e[var] = exps[var] - k
             terms[tuple(e)] = coeff
-        return MultiPoly(self.arity, terms)
+        return MultiPoly._trusted(self.arity, terms)
 
     def to_json(self) -> list[dict]:
         return [
@@ -307,7 +340,7 @@ def compose(outer: MultiPoly, inner: Sequence[MultiPoly]) -> MultiPoly:
     arity = inner[0].arity
     if any(q.arity != arity for q in inner):
         raise ValueError("inner polynomials must share one arity")
-    result = MultiPoly(arity)
+    terms: dict[Exponent, Fraction] = {}
     powers: list[dict[int, MultiPoly]] = [{0: MultiPoly.constant(arity, 1)} for _ in inner]
     for exps, coeff in outer.terms.items():
         term = MultiPoly.constant(arity, coeff)
@@ -319,8 +352,8 @@ def compose(outer: MultiPoly, inner: Sequence[MultiPoly]) -> MultiPoly:
                     p = p * inner[i]
                     powers[i][j] = p
             term = term * powers[i][e]
-        result = result + term
-    return result
+        _add_into(terms, term.terms)
+    return MultiPoly._trusted(arity, terms)
 
 
 def extract_univariate(p: MultiPoly, var: int) -> MultiPoly:
@@ -330,7 +363,7 @@ def extract_univariate(p: MultiPoly, var: int) -> MultiPoly:
         if any(e and i != var for i, e in enumerate(exps)):
             raise ValueError(f"polynomial involves variables other than {var}")
         terms[(exps[var],)] = coeff
-    return MultiPoly(1, terms)
+    return MultiPoly._trusted(1, terms)
 
 
 def integrate_once(p: MultiPoly, var: int, lower, upper) -> MultiPoly:

@@ -151,7 +151,7 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     Hermitian, possibly indefinite)."""
     if rho.shape != (4, 4):
         raise ValueError("partial transpose expects a 4x4 two-qubit state")
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return _pt_block(rho[None])[0]
 
 
 def _pt_block(states: np.ndarray) -> np.ndarray:
@@ -293,13 +293,15 @@ def _fixed_spectrum_block(lam: np.ndarray, rng: np.random.Generator, size: int) 
 
 
 def marginal_gap(rho: np.ndarray) -> float:
-    """Spread of the first reduced state: 1 - 2 * (its smallest eigenvalue).
+    """Spread of the first reduced state: for a trace-one state, 1 - 2 * (its
+    smallest eigenvalue).
 
     Equals the eigenvalue gap of the traceless part of the marginal; always
     in [0, 1].
     """
-    w = np.linalg.eigvalsh(partial_trace(rho, 1))
-    return float(1.0 - 2.0 * w[0])
+    if rho.shape != (4, 4):
+        raise ValueError("marginal gap expects a 4x4 two-qubit state")
+    return float(_marginal_gaps_block(rho[None])[0])
 
 
 def _marginal_gaps_block(states: np.ndarray) -> np.ndarray:

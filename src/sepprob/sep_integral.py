@@ -3,8 +3,10 @@ probability 8/33.
 
 The centered-spectrum simplex is reparametrized by scaled spectral gaps,
 the gap density is pulled back, and three partial integrals over explicit
-iterated regions assemble the conditioned separable volume polynomial.  All
-arithmetic is exact; no floating point enters this module.
+iterated regions assemble the slice-volume polynomial f(a) of the
+half-bounded states (lambda_max <= 1/2) at marginal Bloch radius a; at a = 0
+that is the separable volume.  All arithmetic is exact; no floating point
+enters this module.
 """
 
 from __future__ import annotations
@@ -299,8 +301,14 @@ def gap_piece_sum() -> MultiPoly:
 
 @dataclass(frozen=True)
 class RadialVolumePoly:
-    """Conditioned separable-slice volume as prefactor times a primitive
-    integer polynomial in the marginal Bloch radius."""
+    """Half-bounded slice volume f(a) as prefactor times a primitive integer
+    polynomial in the marginal Bloch radius a.
+
+    f(a) is the volume of the states with lambda_max <= 1/2 on the slice of
+    fixed marginal radius a.  It equals the separable volume of the slice
+    only at a = 0; for a > 0, f(a) / conditioned_volume(a) falls below 8/33
+    while the separable fraction stays at 8/33.
+    """
 
     prefactor: SymbolicReal
     poly: MultiPoly  # arity 1, integer coefficients, content 1
@@ -321,7 +329,8 @@ def _content(p: MultiPoly) -> Fraction:
 
 @lru_cache(maxsize=None)
 def separable_slice_poly() -> RadialVolumePoly:
-    """The conditioned separable volume as a function of the Bloch radius.
+    """The half-bounded slice volume f(a) (lambda_max <= 1/2) as a function of
+    the Bloch radius a; it is the separable slice volume only at a = 0.
 
     Valid on [0, 1/3]; the value at 0 extends by continuity.  The partial
     integrals carry an overall x^2 factor that must cancel against the
@@ -337,7 +346,11 @@ def separable_slice_poly() -> RadialVolumePoly:
 
 
 def separable_slice_volume(a) -> SymbolicReal:
-    """Conditioned separable volume at Bloch radius ``a`` in [0, 1/3]."""
+    """Half-bounded slice volume f(a) at Bloch radius ``a`` in [0, 1/3].
+
+    The volume of the states with lambda_max <= 1/2 on the slice; it equals
+    the separable slice volume only at a = 0.
+    """
     a = Fraction(a)
     if not 0 <= a <= _F(1, 3):
         raise ValueError("the closed form is only established on [0, 1/3]")

@@ -20,6 +20,7 @@ import pytest
 from sepprob import dh_density as dh
 from sepprob import sampling as sp
 from sepprob import sep_integral as si
+from sepprob.checks import chamber_point
 from sepprob.exactmath import MultiPoly, SymbolicReal
 from sepprob.volumes import (
     CenteredSpectrum,
@@ -132,19 +133,9 @@ def test_criterion_4_density_triple_agreement():
     rng = random.Random(ACCEPT_SEED)
     worst = 0.0
     points = 0
-    den = 997
     for label in ("C1", "C2", "C3", "C0"):
         for _ in range(100):
-            rr = F(-rng.randint(1, 5 * den), den)
-            if label == "C1":
-                ss = F(rng.randint(0, -rr.numerator), den)
-            elif label == "C2":
-                ss = F(rng.randint(rr.numerator, 0), den)
-            elif label == "C3":
-                ss = rr - F(rng.randint(0, 3 * den), den)
-            else:
-                rr = F(rng.randint(1, 3 * den), den)
-                ss = F(rng.randint(-5 * den, 5 * den), den)
+            rr, ss = chamber_point(rng, label)
             err = abs(dh.fiber_polytope_density((rr, ss)) - float(closed.evaluate(rr, ss)))
             worst = max(worst, err)
             points += 1

@@ -77,6 +77,80 @@ class TestPolyArithmetic:
         assert order == [(0, 0), (1, 0), (0, 2), (2, 0)]
 
 
+def assert_canonical(p, arity):
+    """Nonzero Fraction coefficients on exponent tuples of the right arity."""
+    assert p.arity == arity
+    for exps, coeff in p.terms.items():
+        assert type(exps) is tuple and len(exps) == arity
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is F and coeff != 0
+
+
+class TestCanonicalResults:
+    """Arithmetic results skip the public constructor's checks, so their
+    invariants are asserted here for every operation."""
+
+    def test_public_constructor_rejects_wrong_arity(self):
+        with pytest.raises(ValueError):
+            MultiPoly(2, {(1,): F(1)})
+        with pytest.raises(ValueError):
+            MultiPoly(1, {(1, 0): F(1)})
+
+    def test_public_constructor_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            MultiPoly(2, {(1, -1): F(1)})
+
+    def test_public_constructor_normalises(self):
+        p = MultiPoly(2, {(1, 0): 3, (0, 1): 0, (0, 0): F(0)})
+        assert p.terms == {(1, 0): F(3)}
+        assert_canonical(p, 2)
+
+    def test_every_operation_random(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            p = random_poly(rng, 3, 3)
+            q = random_poly(rng, 3, 2)
+            c = F(rng.randint(-5, 5), rng.randint(1, 5))
+            v = rng.randint(0, 2)
+            results = [
+                p + q, p - q, -p, p * c, p * rng.randint(-3, 3), p * q, p**3,
+                p.substitute(v, q), compose(p, [q, x_(3, 0), q - 1]),
+                p.derivative(v), p.antiderivative(v), (p * x_(3, v) ** 2).shift_down(v, 2),
+            ]
+            for r in results:
+                assert_canonical(r, 3)
+
+    def test_cancelled_middle_term_is_dropped(self):
+        x = x_()
+        p = (x + 1) * (x - 1)
+        assert (1,) not in p.terms
+        assert p.terms == {(2,): F(1), (0,): F(-1)}
+
+    def test_exact_cancellation_leaves_empty_terms(self):
+        x, y = x_(2, 0), x_(2, 1)
+        p = x * 3 - y / 2 + 1
+        assert (p - p).terms == {}
+        assert (p + (-p)).terms == {}
+        assert (p * 0).terms == {}
+        assert (p * MultiPoly(2)).terms == {}
+        assert (x - y).substitute(0, y).terms == {}
+        assert compose(x - y, [y, y]).terms == {}
+        assert (x + 1) ** 2 - x * x - x * 2 == 1
+        assert ((x + 1) ** 2 - x * x - x * 2).terms == {(0, 0): F(1)}
+        assert p.derivative(0).derivative(0).terms == {}
+
+    def test_int_operands_store_fractions(self):
+        x = x_()
+        results = [
+            x * 2 + 3, 2 - x, 3 * x**2 * 5, (x + 1).substitute(0, 2),
+            compose(x * x, [x + 2]), (x**3 * 4).derivative(0),
+            (x * 3).antiderivative(0), (x**2 * 7).shift_down(0, 1),
+        ]
+        for r in results:
+            assert_canonical(r, 1)
+            assert r.terms
+
+
 class TestSubstitution:
     def test_numeric_substitution(self):
         assert (x_() ** 2).substitute(0, const(3)) == const(9)

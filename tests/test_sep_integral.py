@@ -293,6 +293,18 @@ class TestRadialVolume:
         with pytest.raises(ValueError):
             separable_slice_volume(F(1, 2))
 
+    def test_half_bounded_fraction(self):
+        # f(a) / V(a) = (1-a)^3 (33a^3 + 162a^2 + 72a + 8) / (33 (1+a)^6): the
+        # half-bounded fraction, which equals the separable 8/33 only at a = 0.
+        expected = {
+            F(0): F(8, 33),
+            F(1, 10): F(4095279, 19487171),  # 0.210152...
+            F(1, 5): F(3643, 24057),  # 0.151432...
+            F(1, 3): F(461, 5632),  # 0.081853...
+        }
+        for a, want in expected.items():
+            assert separable_slice_volume(a) / conditioned_volume(a) == SymbolicReal(want)
+
     def test_conditioned_volume(self):
         assert conditioned_volume(0) == SymbolicReal(F(1, 9676800), 5)
         assert conditioned_volume(F(1, 2)) == ZERO_CONDITIONED_VOLUME * F(3, 4) ** 6
