@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,30 +326,54 @@ def check_halfbound_equivalence(seed: int, count: int) -> Check:
     )
 
 
-def check_marginal_law(seed: int, count: int) -> Check:
-    centered = CenteredSpectrum([Fraction(1, 5), Fraction(1, 50), Fraction(-7, 100), Fraction(-3, 20)])
+class MarginalHistogram(NamedTuple):
+    edges: list[Fraction]
+    counts: np.ndarray
+    masses: list[Fraction]
+    width: float
+    sup_norm: float
+    sigma_peak: float
+
+
+def marginal_histogram(
+    centered: CenteredSpectrum, count: int, seed: int, bins: int = 50, threads: int = 1
+) -> MarginalHistogram:
+    """Histogram of ``count`` fixed-spectrum orbit gaps against the exact law.
+
+    Returns the ``bins + 1`` exact edges of equal bins on [0, b3], the sample
+    counts, each bin's analytic probability (exact, integrated across the
+    density's kinks), the float bin width, the sup-norm between empirical and
+    analytic bin densities, and the binomial sigma of the fullest bin as a
+    density.  Callers pick their own bound on the sup-norm.
+    """
     density = dh.marginal_gap_density(centered)
     mass = density.integral()
     b3 = dh.marginal_support(centered).b3
-    bins = 50
     edges = [Fraction(i) * b3 / bins for i in range(bins + 1)]
-    gaps = sp.fixed_spectrum_gaps([0.45, 0.27, 0.18, 0.10], count, seed)
+    spectrum = [float(x + Fraction(1, 4)) for x in centered.entries]
+    gaps = sp.fixed_spectrum_gaps(spectrum, count, seed, threads=threads)
     counts, _ = np.histogram(gaps, bins=np.array([float(e) for e in edges]))
+    masses = [density.integral_between(edges[i], edges[i + 1]) / mass for i in range(bins)]
     width = float(b3) / bins
     sup = 0.0
     sigma_peak = 0.0
-    for i in range(bins):
-        empirical = counts[i] / (count * width)
-        prob = float(density.integral_between(edges[i], edges[i + 1]) / mass)
-        sup = max(sup, abs(empirical - prob / width))
+    for c, m in zip(counts, masses):
+        prob = float(m)
+        sup = max(sup, abs(c / (count * width) - prob / width))
         sigma_peak = max(sigma_peak, np.sqrt(prob * (1.0 - prob) / count) / width)
+    return MarginalHistogram(edges, counts, masses, width, float(sup), float(sigma_peak))
+
+
+def check_marginal_law(seed: int, count: int) -> Check:
+    centered = CenteredSpectrum([Fraction(1, 5), Fraction(1, 50), Fraction(-7, 100), Fraction(-3, 20)])
+    hist = marginal_histogram(centered, count, seed)
     # Seed-robust bound: 3.5 binomial sigmas of the fullest bin.  A wrong
     # density or normalization overshoots this by an order of magnitude.
-    bound = 3.5 * sigma_peak
+    bound = 3.5 * hist.sigma_peak
     return (
         "fixed-spectrum marginal law",
-        sup < bound,
-        f"sup-norm {sup:.4f} over {bins} bins (bound {bound:.4f}, n={count})",
+        hist.sup_norm < bound,
+        f"sup-norm {hist.sup_norm:.4f} over {len(hist.masses)} bins (bound {bound:.4f}, n={count})",
     )
 
 

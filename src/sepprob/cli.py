@@ -23,7 +23,7 @@ from . import sampling as sp
 from . import sep_integral as si
 from . import volumes as vol
 from .exactmath import decimal_str, rational_from_str, rational_str
-from .volumes import CenteredSpectrum, Spectrum
+from .volumes import Spectrum
 
 
 def _versions() -> dict:
@@ -169,14 +169,14 @@ def cmd_marginal(args) -> int:
     t0 = time.time()
     spectrum = _parse_spectrum(args.spectrum)
     centered = spectrum.centered()
+    if args.samples and not args.grid:
+        return _marginal_histogram(args, centered, t0)
     support = dh.marginal_support(centered)
     density = dh.marginal_gap_density(centered)
 
     if args.grid:
         _marginal_grid_csv(density, support, args.grid)
         return 0
-    if args.samples:
-        return _marginal_histogram(args, centered, density, support, t0)
 
     results = {
         "spectrum": [rational_str(x) for x in spectrum.entries],
@@ -202,29 +202,20 @@ def _marginal_grid_csv(density, support, k: int) -> None:
         print(f"{decimal_str(x)},{decimal_str(density.evaluate_float(x))}")
 
 
-def _marginal_histogram(args, centered, density, support, t0) -> int:
+def _marginal_histogram(args, centered, t0) -> int:
     bins = args.bins
     count = args.samples
-    mass = density.integral()
-    edges = [Fraction(i) * support.b3 / bins for i in range(bins + 1)]
-    gaps = sp.fixed_spectrum_gaps(_spectrum_floats(centered), count, args.seed, threads=args.threads)
-    counts, _ = np.histogram(gaps, bins=np.array([float(e) for e in edges]))
-    width = float(support.b3) / bins
+    hist = checks.marginal_histogram(centered, count, args.seed, bins, threads=args.threads)
     rows = []
-    sup = 0.0
     for i in range(bins):
-        empirical = counts[i] / (count * width)
-        bin_mass = density.integral_between(edges[i], edges[i + 1]) / mass
-        analytic = float(bin_mass) / width
-        sup = max(sup, abs(empirical - analytic))
         rows.append(
             {
-                "bin_lo": decimal_str(float(edges[i])),
-                "bin_hi": decimal_str(float(edges[i + 1])),
-                "count": int(counts[i]),
-                "empirical_density": decimal_str(empirical),
-                "analytic_mass": rational_str(bin_mass),
-                "analytic_density": decimal_str(analytic),
+                "bin_lo": decimal_str(float(hist.edges[i])),
+                "bin_hi": decimal_str(float(hist.edges[i + 1])),
+                "count": int(hist.counts[i]),
+                "empirical_density": decimal_str(hist.counts[i] / (count * hist.width)),
+                "analytic_mass": rational_str(hist.masses[i]),
+                "analytic_density": decimal_str(float(hist.masses[i]) / hist.width),
             }
         )
     if args.csv:
@@ -237,16 +228,12 @@ def _marginal_histogram(args, centered, density, support, t0) -> int:
         return 0
     rep = _report(
         "marginal --samples",
-        {"histogram": rows, "sup_norm": decimal_str(sup), "samples": count, "bins": bins},
+        {"histogram": rows, "sup_norm": decimal_str(hist.sup_norm), "samples": count, "bins": bins},
         seed=args.seed,
         t0=t0,
     )
     _emit(rep)
     return 0
-
-
-def _spectrum_floats(centered: CenteredSpectrum) -> list[float]:
-    return [float(x + Fraction(1, 4)) for x in centered.entries]
 
 
 def cmd_integrate(args) -> int:

@@ -87,7 +87,13 @@ def is_valid_density_matrix(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
 
 def _ginibre(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     shape = (n, n) if size is None else (size, n, n)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    g = np.empty(shape, dtype=complex)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
+    # Complex / real division multiplies by the reciprocal, so scaling the
+    # float view gives the same bits as (a + 1j*b) / sqrt(2).
+    g.view(float)[...] *= 1.0 / np.sqrt(2.0)
+    return g
 
 
 def hs_random_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -111,15 +117,38 @@ def hs_random_states(n: int, count: int, seed: int, threads: int = 1) -> np.ndar
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a Ginibre matrix, with the R diagonal
-    rotated to be positive so the factorization is measure-correct."""
+    """Haar-distributed unitary: the Gram-Schmidt orthonormalisation of the
+    columns of a Ginibre matrix (see ``_haar_block``)."""
     return _haar_block(n, rng, 1)[0]
 
 
 def _haar_block(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(n, rng, size))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    """Batch of Haar unitaries.  Gram-Schmidt leaves G = QR with a positive
+    diagonal in R, the one factorization whose Q is Haar-distributed (the
+    phase-fixed QR)."""
+    return _orthonormal_columns(_ginibre(n, rng, size), n)
+
+
+def _orthonormal_columns(g: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormalised first ``k`` columns of each matrix of a batch, shape
+    (batch, row, k), by classical Gram-Schmidt with one re-orthogonalisation
+    pass (CGS2).
+
+    Each column is projected off the earlier ones twice, since "twice is
+    enough": the second pass removes what rounding left of the first, so
+    Q^dag Q = I to a few ulps even for nearly parallel columns.  The work
+    runs on a (column, row, batch) copy, so every step is one contiguous
+    array operation over the whole batch; the result is a view of it.
+    """
+    cols = g.T[:k].copy()
+    for j in range(k):
+        v = cols[j]
+        for _ in range(2 if j else 0):
+            coef = [np.sum(cols[m].conj() * v, axis=0) for m in range(j)]
+            for m in range(j):
+                v -= cols[m] * coef[m]
+        v /= np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0))
+    return cols.T
 
 
 def hermitian_eigs(m: np.ndarray, vectors: bool = False):
@@ -313,11 +342,27 @@ def _marginal_gaps_block(states: np.ndarray) -> np.ndarray:
 
 
 def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, threads: int = 1) -> np.ndarray:
-    """Marginal gaps of ``count`` fixed-spectrum orbit samples."""
+    """Marginal gaps of ``count`` fixed-spectrum orbit samples.
+
+    Draws the same Haar unitaries U as ``_fixed_spectrum_block`` but never
+    builds rho = U diag(lambda) U^dag.  The columns u_m of U satisfy
+    sum_m u_m u_m^dag = I and Tr_2 I = 2 I, so the first reduced state is
+    2 lambda_4 I + sum_{m<4} (lambda_m - lambda_4) Tr_2 |u_m><u_m|.  The gap
+    ignores the multiple of I, so the first three Gram-Schmidt columns
+    suffice.
+    """
     lam = np.asarray([float(x) for x in spectrum])
+    if lam.shape != (4,):
+        raise ValueError("fixed_spectrum_gaps expects a two-qubit spectrum of 4 entries")
+    w = lam[:3] - lam[3]
 
     def block(rng, size):
-        return _marginal_gaps_block(_fixed_spectrum_block(lam, rng, size))[:, None]
+        u = _orthonormal_columns(_ginibre(4, rng, size), 3).T  # (column, row, batch)
+        p = u.real**2 + u.imag**2
+        # Tr_2 |u><u| = [[|u0|^2 + |u1|^2, u0 u2* + u1 u3*], [., |u2|^2 + |u3|^2]].
+        half_diff = 0.5 * (w @ (p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]))
+        off = w @ (u[:, 0] * u[:, 2].conj() + u[:, 1] * u[:, 3].conj())
+        return (2.0 * np.sqrt(half_diff**2 + np.abs(off) ** 2))[:, None]
 
     return _blocked_map(block, count, seed, threads, (1,))[:, 0]
 

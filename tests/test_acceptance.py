@@ -14,13 +14,12 @@ import sys
 import time
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from sepprob import dh_density as dh
 from sepprob import sampling as sp
 from sepprob import sep_integral as si
-from sepprob.checks import chamber_point
+from sepprob.checks import chamber_point, marginal_histogram
 from sepprob.exactmath import MultiPoly, SymbolicReal
 from sepprob.volumes import (
     CenteredSpectrum,
@@ -215,22 +214,11 @@ def test_criterion_9_halfbound_equivalence(conditioned_zero_stats):
 def test_criterion_10_fixed_spectrum_marginal_law():
     t0 = time.monotonic()
     centered = CenteredSpectrum([F(1, 5), F(1, 50), F(-7, 100), F(-3, 20)])
-    density = dh.marginal_gap_density(centered)
-    mass = density.integral()
-    b3 = dh.marginal_support(centered).b3
     bins = 50
     # Support [0, 11/25] with density kinks at 1/10 and 13/50; the per-bin
     # analytic masses integrate across the kinks exactly.
-    edges = [F(i) * b3 / bins for i in range(bins + 1)]
-
-    gaps = sp.fixed_spectrum_gaps([0.45, 0.27, 0.18, 0.10], 1_000_000, ACCEPT_SEED, threads=4)
-    counts, _ = np.histogram(gaps, bins=np.array([float(e) for e in edges]))
-    width = float(b3) / bins
-    sup = 0.0
-    for i in range(bins):
-        empirical = counts[i] / (1_000_000 * width)
-        analytic = float(density.integral_between(edges[i], edges[i + 1]) / mass) / width
-        sup = max(sup, abs(empirical - analytic))
+    hist = marginal_histogram(centered, 1_000_000, ACCEPT_SEED, bins, threads=4)
+    sup = hist.sup_norm
     elapsed = time.monotonic() - t0
     ok = sup < 0.05 and elapsed < 180
     criterion(10, ok, f"10^6 orbit samples on [0, 0.44]: sup-norm {sup:.4f} < 0.05 "

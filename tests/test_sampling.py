@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sepprob import sampling as sp
-from sepprob.checks import ppt_decision_mismatch
+from sepprob.checks import marginal_histogram, ppt_decision_mismatch
 from sepprob.dh_density import marginal_support, moment_polytope
 from sepprob.volumes import Spectrum
 
@@ -21,6 +21,14 @@ BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
 
 def werner(p: float) -> np.ndarray:
     return (1 - p) * np.eye(4) / 4 + p * BELL
+
+
+def phase_fixed_qr(g: np.ndarray) -> np.ndarray:
+    """Oracle for the Haar core: LAPACK QR with R's diagonal rotated to be
+    positive."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 class TestFlatMeasureSampler:
@@ -66,6 +74,23 @@ class TestHaarUnitary:
         # second moment 2/(4*5) = 1/10; 3 sigma at this sample size.
         assert np.max(np.abs(m2.mean(axis=0) - 0.25)) < 3 * np.sqrt(3 / 80 / 100_000)
         assert np.max(np.abs((m2**2).mean(axis=0) - 0.1)) < 2e-3
+
+
+class TestGramSchmidtCore:
+    @pytest.mark.parametrize("n, count", [(4, 100_000), (5, 5000)])
+    def test_matches_phase_fixed_qr(self, n, count):
+        u = sp._haar_block(n, sp.stream_rng(31, n), count)
+        oracle = phase_fixed_qr(sp._ginibre(n, sp.stream_rng(31, n), count))
+        assert np.max(np.abs(u - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-10])
+    def test_unitary_for_nearly_parallel_columns(self, eps):
+        rng = sp.stream_rng(32)
+        g = sp._ginibre(4, rng, 2000)
+        g[:, :, 1] = g[:, :, 0] + eps * sp._ginibre(4, rng, 2000)[:, :, 0]
+        q = sp._orthonormal_columns(g, 4)
+        gram = q.conj().transpose(0, 2, 1) @ q
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
 
 class TestHermitianEigs:
@@ -266,6 +291,35 @@ class TestFixedSpectrum:
         gaps = sp.fixed_spectrum_gaps(self.LAM, 100_000, seed=22)
         assert gaps.min() >= 0.0
         assert gaps.max() <= 0.44 + 1e-9
+
+    @pytest.mark.parametrize(
+        "lam", [LAM, [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.25] * 4]
+    )
+    def test_three_column_gaps_match_states(self, lam):
+        # One block, so fixed_spectrum_gaps reads stream (seed, 0) as below.
+        gaps = sp.fixed_spectrum_gaps(lam, 20_000, seed=25)
+        states = sp._fixed_spectrum_block(np.array(lam), sp.stream_rng(25, 0), 20_000)
+        assert np.max(np.abs(gaps - sp._marginal_gaps_block(states))) < 1e-12
+        if lam == [0.25] * 4:
+            assert not gaps.any()
+
+    def test_gaps_independent_of_thread_count(self):
+        a = sp.fixed_spectrum_gaps(self.LAM, 70_000, seed=26, threads=1)
+        b = sp.fixed_spectrum_gaps(self.LAM, 70_000, seed=26, threads=3)
+        assert np.array_equal(a, b)
+
+    def test_histogram_keeps_every_sample(self):
+        # np.histogram drops values outside [0, b3]; a non-unitary U would
+        # push some gaps out and lose them here.
+        spectrum = Spectrum([F(9, 20), F(27, 100), F(9, 50), F(1, 10)])
+        hist = marginal_histogram(spectrum.centered(), 100_000, seed=27)
+        assert int(hist.counts.sum()) == 100_000
+        assert sum(hist.masses) == 1
+        assert hist.sup_norm < 3.5 * hist.sigma_peak
+
+    def test_rejects_non_two_qubit_spectrum(self):
+        with pytest.raises(ValueError):
+            sp.fixed_spectrum_gaps([0.5, 0.5], 100, seed=1)
 
     def test_moment_polytope_membership(self):
         spectrum = Spectrum([F(9, 20), F(27, 100), F(9, 50), F(1, 10)])
