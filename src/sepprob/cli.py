@@ -169,7 +169,7 @@ def cmd_marginal(args) -> int:
     t0 = time.time()
     spectrum = _parse_spectrum(args.spectrum)
     centered = spectrum.centered()
-    if args.samples and not args.grid:
+    if args.samples:
         return _marginal_histogram(args, centered, t0)
     support = dh.marginal_support(centered)
     density = dh.marginal_gap_density(centered)
@@ -326,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("marginal", help="marginal-gap density for a fixed spectrum")
     p.add_argument("--spectrum", required=True, help="four rationals or decimals, e.g. 0.45,0.27,0.18,0.10")
-    p.add_argument("--grid", type=_positive(int), default=0, help="emit a CSV grid of this size")
-    p.add_argument("--samples", type=_positive(int), default=0, help="sample a histogram of this size")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--grid", type=_positive(int), default=0, help="emit a CSV grid of this size")
+    mode.add_argument("--samples", type=_positive(int), default=0, help="sample a histogram of this size")
     p.add_argument("--bins", type=_positive(int), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_positive(int), default=1)

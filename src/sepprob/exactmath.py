@@ -5,14 +5,16 @@ form q * pi**k * sqrt(m).
 Rationals are plain ``fractions.Fraction`` (arbitrary precision; denominators
 like 15! appear downstream and must stay exact).  Polynomials map exponent
 tuples to nonzero Fraction coefficients, so equality is structural and
-bit-exact.  Variables are positional indices; the modules that build concrete
-expressions keep their own symbol tables.
+bit-exact.  Products and substitutions run on integer numerators over one
+common denominator and build a single reduced Fraction per output term.
+Variables are positional indices; the modules that build concrete expressions
+keep their own symbol tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, pi, sqrt
+from math import factorial, lcm, pi, sqrt
 from operator import add
 from typing import Mapping, Sequence
 
@@ -48,19 +50,25 @@ def _add_into(acc: dict[Exponent, Fraction], terms: Mapping[Exponent, Fraction])
         acc[e] = c if old is None else old + c
 
 
-def _mul_into(
-    acc: dict[Exponent, Fraction],
-    left: Mapping[Exponent, Fraction],
-    right: Mapping[Exponent, Fraction],
+def _int_form(terms: Mapping[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
+    """(numerators, den): den is the lcm of the denominators, terms = numerators / den."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _int_mul_into(
+    acc: dict[Exponent, int],
+    left: Mapping[Exponent, int],
+    right: Mapping[Exponent, int],
+    scale: int,
 ) -> None:
-    """acc += left * right, in place, for two term maps of one arity."""
+    """acc += scale * left * right, in place, on integer numerators of one arity."""
     get = acc.get
     for e1, c1 in left.items():
+        c1 *= scale
         for e2, c2 in right.items():
             e = tuple(map(add, e1, e2))
-            c = c1 * c2
-            old = get(e)
-            acc[e] = c if old is None else old + c
+            acc[e] = get(e, 0) + c1 * c2
 
 
 class MultiPoly:
@@ -156,13 +164,22 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "MultiPoly":
+        """Product with a scalar or a polynomial.
+
+        A polynomial product convolves the integer numerators of both factors
+        over the product of their common denominators, then builds one reduced
+        Fraction per output term.
+        """
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
             return MultiPoly._trusted(self.arity, {e: k * c for e, k in self.terms.items()})
         self._check_arity(other)
-        terms: dict[Exponent, Fraction] = {}
-        _mul_into(terms, self.terms, other.terms)
-        return MultiPoly._trusted(self.arity, terms)
+        nl, dl = _int_form(self.terms)
+        nr, dr = _int_form(other.terms)
+        acc: dict[Exponent, int] = {}
+        _int_mul_into(acc, nl, nr, 1)
+        den = dl * dr
+        return MultiPoly._trusted(self.arity, {e: Fraction(v, den) for e, v in acc.items()})
 
     __rmul__ = __mul__
 
@@ -254,27 +271,30 @@ class MultiPoly:
     # -- calculus ----------------------------------------------------------
 
     def substitute(self, var: int, value: "MultiPoly") -> "MultiPoly":
-        """Exact composition: replace variable ``var`` by the polynomial ``value``."""
+        """Exact composition: replace variable ``var`` by the polynomial ``value``.
+
+        The terms are grouped by their power of ``var``; each group is
+        convolved on integer numerators with that power of ``value``, all into
+        one accumulator over a common denominator, and one reduced Fraction is
+        built per output term.
+        """
         if not 0 <= var < self.arity:
             raise ValueError(f"variable index {var} out of range")
         if not isinstance(value, MultiPoly):
             value = MultiPoly.constant(self.arity, value)
         self._check_arity(value)
-        # Each term times the cached power of ``value``, all accumulated
-        # into one dict.
-        powers: dict[int, MultiPoly] = {0: MultiPoly.constant(self.arity, 1)}
-        terms: dict[Exponent, Fraction] = {}
+        groups: dict[int, dict[Exponent, Fraction]] = {}
         for exps, coeff in self.terms.items():
-            k = exps[var]
-            if k not in powers:
-                m = max(powers)
-                p = powers[m]
-                for j in range(m + 1, k + 1):
-                    p = p * value
-                    powers[j] = p
-            rest = exps[:var] + (0,) + exps[var + 1 :]
-            _mul_into(terms, {rest: coeff}, powers[k].terms)
-        return MultiPoly._trusted(self.arity, terms)
+            groups.setdefault(exps[var], {})[exps[:var] + (0,) + exps[var + 1 :]] = coeff
+        powers = [MultiPoly.constant(self.arity, 1)]
+        for _ in range(max(groups, default=0)):
+            powers.append(powers[-1] * value)
+        forms = [(_int_form(g), _int_form(powers[k].terms)) for k, g in groups.items()]
+        den = lcm(*(dl * dr for (_, dl), (_, dr) in forms))
+        acc: dict[Exponent, int] = {}
+        for (nl, dl), (nr, dr) in forms:
+            _int_mul_into(acc, nl, nr, den // (dl * dr))
+        return MultiPoly._trusted(self.arity, {e: Fraction(v, den) for e, v in acc.items()})
 
     def derivative(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.arity:

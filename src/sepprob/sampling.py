@@ -151,18 +151,6 @@ def _orthonormal_columns(g: np.ndarray, k: int) -> np.ndarray:
     return cols.T
 
 
-def hermitian_eigs(m: np.ndarray, vectors: bool = False):
-    """Descending eigenvalues of a Hermitian matrix (optionally with a
-    matching column eigenvector matrix).  Rejects visibly non-Hermitian
-    input rather than symmetrizing it silently."""
-    if np.max(np.abs(m - m.conj().T)) > 1e-9:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    if vectors:
-        w, v = np.linalg.eigh(m)
-        return w[::-1], v[:, ::-1]
-    return np.linalg.eigvalsh(m)[::-1]
-
-
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     """Reduce a two-qubit state to the kept subsystem (1 or 2)."""
     if rho.shape != (4, 4):

@@ -129,6 +129,12 @@ class TestMarginalVerb:
         code, _, err = run(capsys, "marginal", "--spectrum", "0.5,0.5")
         assert code == 2
 
+    def test_rejects_samples_with_grid(self, capsys):
+        code, out, err = run(capsys, "marginal", "--spectrum", self.SPEC, "--samples", "1000", "--grid", "5")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
 
 class TestSampleVerb:
     def test_sep_payload_and_determinism(self, capsys):

@@ -3,6 +3,7 @@ symbolic constants."""
 
 import random
 from fractions import Fraction as F
+from math import factorial, gcd
 
 import pytest
 
@@ -84,6 +85,7 @@ def assert_canonical(p, arity):
         assert type(exps) is tuple and len(exps) == arity
         assert all(type(e) is int and e >= 0 for e in exps)
         assert type(coeff) is F and coeff != 0
+        assert coeff.denominator > 0 and gcd(coeff.numerator, coeff.denominator) == 1
 
 
 class TestCanonicalResults:
@@ -149,6 +151,99 @@ class TestCanonicalResults:
         for r in results:
             assert_canonical(r, 1)
             assert r.terms
+
+
+# Coefficients with large, mutually coprime denominators and both signs, so
+# the integer kernels' common denominators and final reductions are exercised.
+WIDE_COEFFS = [F(1, factorial(15)), F(7, 11**9), F(-3, 2**61 - 1), F(-5, 13), F(2), F(-1)]
+
+
+def wide_poly(rng, arity, degree):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = tuple(rng.randint(0, degree) for _ in range(arity))
+        terms[exps] = rng.choice(WIDE_COEFFS) * rng.randint(-4, 4)
+    return MultiPoly(arity, terms)
+
+
+def naive_product(p, q):
+    """Reference convolution with one Fraction multiply-add per term pair."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def random_point(rng, arity):
+    return [F(rng.randint(-30, 30), rng.randint(1, 40)) for _ in range(arity)]
+
+
+def assert_substitution_evaluates(p, var, r, rng):
+    """p.substitute(var, r) agrees with p evaluated at pt[var] = r(pt)."""
+    s = p.substitute(var, r)
+    assert_canonical(s, p.arity)
+    for _ in range(3):
+        pt = random_point(rng, p.arity)
+        inner = list(pt)
+        inner[var] = r.evaluate(pt)
+        assert s.evaluate(pt) == p.evaluate(inner)
+
+
+class TestIntegerKernels:
+    """Products and substitutions run on integer numerators over a common
+    denominator; these oracles recompute them one Fraction at a time."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_product_matches_naive_convolution(self, arity):
+        rng = random.Random(100 + arity)
+        for _ in range(25):
+            p, q = wide_poly(rng, arity, 3), wide_poly(rng, arity, 2)
+            pq = p * q
+            assert pq.terms == naive_product(p, q)
+            assert_canonical(pq, arity)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_substitution_matches_evaluation(self, arity):
+        rng = random.Random(200 + arity)
+        for _ in range(15):
+            p, r = wide_poly(rng, arity, 4), wide_poly(rng, arity, 2)
+            assert_substitution_evaluates(p, rng.randrange(arity), r, rng)
+
+    def test_cross_terms_cancel_to_nothing(self):
+        x, y = x_(2, 0), x_(2, 1)
+        a, b = F(1, factorial(15)), F(7, 11**9)
+        p = (x * a + y * b) * (x * a - y * b)
+        assert p.terms == {(2, 0): a * a, (0, 2): -b * b}
+        assert_canonical(p, 2)
+        # x^2 - 2bxy + b^2 y^2 with x := b y cancels across three powers of x.
+        square = (x - y * b) ** 2
+        assert square.substitute(0, y * b).terms == {}
+        assert (x - y**2 * a).substitute(0, y**2 * a).terms == {}
+
+    def test_substitute_absent_variable(self):
+        rng = random.Random(5)
+        for arity in (2, 3, 4):
+            p = wide_poly(rng, arity, 3).substitute(arity - 1, MultiPoly(arity))
+            assert not p.involves(arity - 1)
+            assert p.substitute(arity - 1, wide_poly(rng, arity, 2)) == p
+
+    def test_constant_value(self):
+        rng = random.Random(6)
+        for arity in (1, 2, 3):
+            p = wide_poly(rng, arity, 4)
+            for value in (F(7, 11**9), F(-1, factorial(15)), 3):
+                assert_substitution_evaluates(p, 0, const(value, arity), rng)
+                assert p.substitute(0, value) == p.substitute(0, const(value, arity))
+
+    def test_zero_polynomial_on_either_side(self):
+        rng = random.Random(7)
+        for arity in (1, 2, 3):
+            p, zero = wide_poly(rng, arity, 3), MultiPoly(arity)
+            assert (p * zero).terms == {} and (zero * p).terms == {}
+            assert zero.substitute(0, p).terms == {}
+            assert_substitution_evaluates(p, 0, zero, rng)
 
 
 class TestSubstitution:

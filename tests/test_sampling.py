@@ -75,6 +75,12 @@ class TestHaarUnitary:
         assert np.max(np.abs(m2.mean(axis=0) - 0.25)) < 3 * np.sqrt(3 / 80 / 100_000)
         assert np.max(np.abs((m2**2).mean(axis=0) - 0.1)) < 2e-3
 
+    def test_conjugation_invariance(self):
+        lam = np.array([0.45, 0.27, 0.18, 0.10])
+        u = sp.haar_unitary(4, sp.stream_rng(8))
+        w = np.linalg.eigvalsh((u * lam) @ u.conj().T)[::-1]
+        assert np.max(np.abs(w - lam)) < 1e-10
+
 
 class TestGramSchmidtCore:
     @pytest.mark.parametrize("n, count", [(4, 100_000), (5, 5000)])
@@ -91,31 +97,6 @@ class TestGramSchmidtCore:
         q = sp._orthonormal_columns(g, 4)
         gram = q.conj().transpose(0, 2, 1) @ q
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-
-class TestHermitianEigs:
-    def test_diagonal(self):
-        w = sp.hermitian_eigs(np.diag([4.0, 3.0, 2.0, 1.0]).astype(complex))
-        assert np.allclose(w, [4, 3, 2, 1])
-
-    def test_pauli_x(self):
-        w = sp.hermitian_eigs(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(w, [1, -1])
-
-    def test_conjugation_invariance(self):
-        lam = np.array([0.45, 0.27, 0.18, 0.10])
-        u = sp.haar_unitary(4, sp.stream_rng(8))
-        w = sp.hermitian_eigs((u * lam) @ u.conj().T)
-        assert np.max(np.abs(w - lam)) < 1e-10
-
-    def test_reconstruction(self):
-        rho = sp.hs_random_state(4, sp.stream_rng(9))
-        w, v = sp.hermitian_eigs(rho, vectors=True)
-        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - rho)) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            sp.hermitian_eigs(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestReductions:
