@@ -230,6 +230,16 @@ def check_exact_pipeline() -> Check:
     return ("exact pipeline", True, "Vandermonde, halves, order invariance, radial identity, 8/33")
 
 
+def gram_flat_mismatch(g: np.ndarray, tol: float = 1e-12) -> str | None:
+    """None when the estimator's column-layout Gram of the 4x4 matrices ``g``
+    equals the batched matmul g g^dag to relative error ``tol`` (per sample,
+    against its largest entry); otherwise the worst error."""
+    want = (g @ g.conj().transpose(0, 2, 1)).reshape(len(g), 16).T
+    got = sp._gram_flat(g.reshape(len(g), 16).T.copy())
+    err = float(np.max(np.abs(got - want) / np.abs(want).max(axis=0)))
+    return None if err <= tol else f"relative error {err:.3e} over {len(g)} samples"
+
+
 def ppt_decision_mismatch(w: np.ndarray, tol: float = sp.PPT_TOL) -> str | None:
     """None when the determinant decision on the positive 4x4 blocks ``w``
     gives the PPT and indeterminate-band masks that eigvalsh of the
@@ -265,6 +275,9 @@ def check_sampling_core(seed: int) -> Check:
     # 2000 unnormalised G G^dag draws, plus the Werner state at p = 1/3
     # (lambda_min = 0), which takes the eigvalsh fallback.
     g = sp._ginibre(4, sp.stream_rng(seed, 1), 2000)
+    mismatch = gram_flat_mismatch(g)
+    if mismatch:
+        return ("sampling core", False, f"column-layout G G^dag disagrees with matmul: {mismatch}")
     werner = (np.eye(4) / 2 + bell) / 3
     w = np.concatenate([g @ g.conj().transpose(0, 2, 1), werner[None]])
     mismatch = ppt_decision_mismatch(w)
@@ -274,7 +287,7 @@ def check_sampling_core(seed: int) -> Check:
     est2 = sp.estimate_sep_prob(sp.SamplerConfig(seed=seed, count=2000), threads=4)
     if est1 != est2:
         return ("sampling core", False, "estimator is not thread-deterministic")
-    detail = "validity, unitarity, transpose, entangled witness, det decision, determinism"
+    detail = "validity, unitarity, transpose, entangled witness, flat Gram, det decision, determinism"
     return ("sampling core", True, detail)
 
 

@@ -168,6 +168,12 @@ def _density_grid_csv(closed, k: int) -> None:
 def cmd_marginal(args) -> int:
     t0 = time.time()
     spectrum = _parse_spectrum(args.spectrum)
+    if not spectrum.is_simple:
+        # The gap law is the Duistermaat-Heckman density of a regular orbit.
+        repeated = next(x for x, y in zip(spectrum.entries, spectrum.entries[1:]) if x == y)
+        raise ValueError(
+            f"the marginal-gap law needs four distinct eigenvalues; {rational_str(repeated)} is repeated"
+        )
     centered = spectrum.centered()
     if args.samples:
         return _marginal_histogram(args, centered, t0)

@@ -129,6 +129,16 @@ class TestMarginalVerb:
         code, _, err = run(capsys, "marginal", "--spectrum", "0.5,0.5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spectrum, repeated", [("0.5,0.5,0,0", "1/2"), ("0.4,0.3,0.3,0", "3/10"), ("0.25,0.25,0.25,0.25", "1/4")]
+    )
+    @pytest.mark.parametrize("form", [(), ("--grid", "5"), ("--samples", "2000")])
+    def test_rejects_repeated_eigenvalue(self, capsys, spectrum, repeated, form):
+        code, out, err = run(capsys, "marginal", "--spectrum", spectrum, *form)
+        assert code == 2
+        assert out == ""
+        assert f"{repeated} is repeated" in err
+
     def test_rejects_samples_with_grid(self, capsys):
         code, out, err = run(capsys, "marginal", "--spectrum", self.SPEC, "--samples", "1000", "--grid", "5")
         assert code == 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sepprob import sampling as sp
-from sepprob.checks import marginal_histogram, ppt_decision_mismatch
+from sepprob.checks import gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
 from sepprob.dh_density import marginal_support, moment_polytope
 from sepprob.volumes import Spectrum
 
@@ -178,13 +178,15 @@ class TestDeterminantDecision:
 
     @pytest.mark.parametrize("tol", [sp.PPT_TOL, 1e-4])
     def test_estimator_counts_match_eigvalsh(self, tol):
-        n = 100_000
-        mins = sp.ppt_min_eigs(sp.hs_random_states(4, n, seed=35))
-        want = (int(np.sum(mins >= -tol)), int(np.sum(np.abs(mins) < tol)))
-        for threads in (1, 3):
-            config = sp.SamplerConfig(seed=35, count=n, tolerance=tol)
-            est = sp.estimate_sep_prob(config, threads=threads)
-            assert (est.ppt_count, est.indeterminate) == want
+        # Counts that end inside a chunk, one past a chunk edge, and one past
+        # a block edge.
+        for n in (100_000, sp._BLOCK + sp._CHUNK + 1, 3 * sp._BLOCK + 1):
+            mins = sp.ppt_min_eigs(sp.hs_random_states(4, n, seed=35))
+            want = (int(np.sum(mins >= -tol)), int(np.sum(np.abs(mins) < tol)))
+            for threads in (1, 3):
+                config = sp.SamplerConfig(seed=35, count=n, tolerance=tol)
+                est = sp.estimate_sep_prob(config, threads=threads)
+                assert (est.ppt_count, est.indeterminate) == want, n
 
     def test_werner_boundary_is_indeterminate(self):
         ppt, band = sp._ppt_decide(np.stack([werner(1 / 3), 3.0 * werner(1 / 3)]), sp.PPT_TOL)
@@ -199,6 +201,34 @@ class TestDeterminantDecision:
         assert abs(np.linalg.eigvalsh(sp.partial_transpose(rho))[0] - scale * tol) < 1e-15
         got_ppt, got_band = sp._ppt_decide(rho[None], tol)
         assert (got_ppt[0], got_band[0]) == (ppt, band)
+
+
+# (block size, start) of one estimator chunk: chunks of 1, 7 and _CHUNK
+# samples, and the short last chunk of a block that is not a multiple of
+# _CHUNK.
+CHUNKS = [(1, 0), (7, 0), (sp._CHUNK, 0), (2 * sp._CHUNK + 5, 2 * sp._CHUNK)]
+
+
+def ginibre_chunk(size: int, start: int) -> np.ndarray:
+    g = sp._ginibre(4, sp.stream_rng(41, size), size)
+    return g[start : start + sp._CHUNK]
+
+
+class TestFlatKernel:
+    """The estimator's (16, n) column-layout kernels against the batched
+    (batch, 4, 4) path."""
+
+    @pytest.mark.parametrize("size, start", CHUNKS)
+    def test_gram_matches_matmul(self, size, start):
+        assert gram_flat_mismatch(ginibre_chunk(size, start)) is None
+
+    @pytest.mark.parametrize("size, start", CHUNKS)
+    @pytest.mark.parametrize("tol", [sp.PPT_TOL, 1e-3])
+    def test_decision_matches_blocks(self, size, start, tol):
+        g = ginibre_chunk(size, start)
+        flat = sp._ppt_decide_flat(sp._gram_flat(g.reshape(len(g), 16).T.copy()), tol)
+        blocks = sp._ppt_decide(g @ g.conj().transpose(0, 2, 1), tol)
+        assert np.array_equal(flat[0], blocks[0]) and np.array_equal(flat[1], blocks[1])
 
 
 class TestHalfBounded:
@@ -226,6 +256,10 @@ class TestSepEstimator:
     def test_fraction_near_target_small_run(self):
         est = sp.estimate_sep_prob(sp.SamplerConfig(seed=79, count=50_000))
         assert abs(est.fraction - 8 / 33) < 5 * est.stderr + 1e-9
+
+    def test_frozen_count(self):
+        est = sp.estimate_sep_prob(sp.SamplerConfig(seed=3, count=262_144))
+        assert (est.ppt_count, est.indeterminate) == (63812, 0)
 
     def test_minimum_count_guard(self):
         with pytest.raises(ValueError):
