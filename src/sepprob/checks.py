@@ -366,7 +366,8 @@ def marginal_histogram(
     spectrum = [float(x + Fraction(1, 4)) for x in centered.entries]
     gaps = sp.fixed_spectrum_gaps(spectrum, count, seed, threads=threads)
     counts, _ = np.histogram(gaps, bins=np.array([float(e) for e in edges]))
-    masses = [density.integral_between(edges[i], edges[i + 1]) / mass for i in range(bins)]
+    cdf = density.cdf(edges)
+    masses = [(hi - lo) / mass for lo, hi in zip(cdf, cdf[1:])]
     width = float(b3) / bins
     sup = 0.0
     sigma_peak = 0.0

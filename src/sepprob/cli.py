@@ -202,7 +202,8 @@ def cmd_marginal(args) -> int:
 
 
 def _marginal_grid_csv(density, support, k: int) -> None:
-    xs = sorted({float(support.b3) * i / (k - 1) for i in range(k)} | {float(b) for b in support})
+    grid = {float(support.b3) * i / (k - 1) for i in range(k)} if k > 1 else {0.0}
+    xs = sorted(grid | {float(b) for b in support})
     print("x,density")
     for x in xs:
         print(f"{decimal_str(x)},{decimal_str(density.evaluate_float(x))}")

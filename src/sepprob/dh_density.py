@@ -15,6 +15,7 @@ pairs, the exact one-variable gap density, and its quadrature oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -303,6 +304,34 @@ class PiecewisePoly1D:
             anti = piece.antiderivative(0)
             total += anti.evaluate([b]) - anti.evaluate([a])
         return total
+
+    def cdf(self, points: Sequence) -> list[Fraction]:
+        """Exact integral of the density from ``breakpoints[0]`` up to each
+        point, clipped to the support: 0 at or below the first breakpoint,
+        ``integral()`` at or above the last, and otherwise equal, as a
+        Fraction, to ``integral_between(breakpoints[0], x)``.
+
+        Each piece's antiderivative is built once and the piece masses are
+        summed once, so successive differences of ``cdf(edges)`` give the
+        exact mass of every bin at the cost of one evaluation per edge.
+        """
+        grid = self.breakpoints
+        antis = [piece.antiderivative(0) for piece in self.pieces]
+        at_lo = [anti.evaluate([grid[i]]) for i, anti in enumerate(antis)]
+        below = [Fraction(0)]  # mass below each breakpoint
+        for i, anti in enumerate(antis):
+            below.append(below[-1] + anti.evaluate([grid[i + 1]]) - at_lo[i])
+        out = []
+        for x in points:
+            x = Fraction(x)
+            if x <= grid[0]:
+                out.append(Fraction(0))
+            elif x >= grid[-1]:
+                out.append(below[-1])
+            else:
+                i = bisect_right(grid, x) - 1  # grid[i] <= x < grid[i + 1]
+                out.append(below[i] + antis[i].evaluate([x]) - at_lo[i])
+        return out
 
 
 def marginal_gap_density(centered: CenteredSpectrum) -> PiecewisePoly1D:

@@ -29,8 +29,9 @@ _DET_FLOOR = 1e-12
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32768
-# Samples per Gram and determinant pass in the estimator: one (_CHUNK,) complex
-# operand is 64 KB, so the determinant's ~40 passes stay in L2.
+# Samples per cache-sized pass inside a block (the estimator's Gram and
+# determinant, the orbit sampler's Gram-Schmidt): one (_CHUNK,) complex
+# operand is 64 KB, so the passes over it stay in L2.
 _CHUNK = 4096
 
 _I2 = np.eye(2, dtype=complex)
@@ -141,7 +142,8 @@ def _orthonormal_columns(g: np.ndarray, k: int) -> np.ndarray:
     enough": the second pass removes what rounding left of the first, so
     Q^dag Q = I to a few ulps even for nearly parallel columns.  The work
     runs on a (column, row, batch) copy, so every step is one contiguous
-    array operation over the whole batch; the result is a view of it.
+    array operation over whatever batch it is given; the result is a view
+    of it.
     """
     cols = g.T[:k].copy()
     for j in range(k):
@@ -378,6 +380,11 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
     2 lambda_4 I + sum_{m<4} (lambda_m - lambda_4) Tr_2 |u_m><u_m|.  The gap
     ignores the multiple of I, so the first three Gram-Schmidt columns
     suffice.
+
+    Each block's Ginibre draw is orthonormalised and reduced in chunks of
+    ``_CHUNK`` samples, so the Gram-Schmidt working copy (3 columns x 4 rows x
+    chunk) stays in cache.  The block's draw and stream are unchanged by the
+    chunking.
     """
     lam = np.asarray([float(x) for x in spectrum])
     if lam.shape != (4,):
@@ -385,14 +392,18 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
     w = lam[:3] - lam[3]
 
     def block(rng, size):
-        u = _orthonormal_columns(_ginibre(4, rng, size), 3).T  # (column, row, batch)
-        p = u.real**2 + u.imag**2
-        # Tr_2 |u><u| = [[|u0|^2 + |u1|^2, u0 u2* + u1 u3*], [., |u2|^2 + |u3|^2]].
-        half_diff = 0.5 * (w @ (p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]))
-        off = w @ (u[:, 0] * u[:, 2].conj() + u[:, 1] * u[:, 3].conj())
-        return (2.0 * np.sqrt(half_diff**2 + np.abs(off) ** 2))[:, None]
+        g = _ginibre(4, rng, size)
+        out = np.empty(size)
+        for s in range(0, size, _CHUNK):
+            u = _orthonormal_columns(g[s : s + _CHUNK], 3).T  # (column, row, chunk)
+            p = u.real**2 + u.imag**2
+            # Tr_2 |u><u| = [[|u0|^2 + |u1|^2, u0 u2* + u1 u3*], [., |u2|^2 + |u3|^2]].
+            half_diff = 0.5 * (w @ (p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]))
+            off = w @ (u[:, 0] * u[:, 2].conj() + u[:, 1] * u[:, 3].conj())
+            out[s : s + _CHUNK] = 2.0 * np.sqrt(half_diff**2 + np.abs(off) ** 2)
+        return out
 
-    return _blocked_map(block, count, seed, threads, (1,))[:, 0]
+    return _blocked_map(block, count, seed, threads, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line contract: verbs, exit codes, JSON shapes, CSV grids."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,24 @@ class TestMarginalVerb:
         xs = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
         for bp in ("0.10000000000000001", "0.26000000000000001", "0.44"):
             assert any(x.startswith(bp[:6]) for x in xs)
+
+    def test_grid_of_one_point(self, capsys):
+        code, out, _ = run(capsys, "marginal", "--spectrum", self.SPEC, "--grid", "1")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "x,density"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "0", "0.10000000000000001", "0.26000000000000001", "0.44"
+        ]
+
+    def test_golden_histogram_seed17(self, capsys):
+        # Pinned output; regenerate only for a deliberate change of streams
+        # or output, and name the reason in CHANGES.md.
+        golden = json.loads((Path(__file__).parent / "golden" / "marginal_seed17.json").read_text())
+        for threads in ("1", "2"):
+            code, rep, _ = run_json(capsys, *golden["argv"], "--threads", threads)
+            assert code == 0
+            assert rep["results"] == golden["results"]
 
     def test_histogram_rows_align(self, capsys):
         code, rep, _ = run_json(

@@ -237,6 +237,30 @@ class TestMarginalGapDensity:
             assert marginal_gap_density(c.scaled(tau)).breakpoints[-1] == tau * base.b3
 
 
+class TestExactCdf:
+    def test_matches_integral_between(self):
+        rng = random.Random(41)
+        for c in [SPEC_45, CenteredSpectrum([F(3, 20), F(1, 20), F(-1, 20), F(-3, 20)])] + [
+            random_simple_centered(rng) for _ in range(5)
+        ]:
+            d = marginal_gap_density(c)
+            b3 = d.breakpoints[-1]
+            pieces = zip(d.breakpoints, d.breakpoints[1:])
+            inside = [lo + (hi - lo) * t for lo, hi in pieces for t in (F(1, 3), F(5, 7))]
+            points = [F(-1, 10), F(0), *d.breakpoints, *inside, b3 + F(1, 100), F(2)]
+            cdf = d.cdf(points)
+            assert cdf == [d.integral_between(d.breakpoints[0], x) for x in points]
+            assert d.cdf([b3])[0] == d.integral()
+
+    def test_differences_are_bin_masses(self):
+        d = marginal_gap_density(SPEC_45)
+        b3 = d.breakpoints[-1]
+        edges = [F(i) * b3 / 50 for i in range(51)]
+        cdf = d.cdf(edges)
+        masses = [d.integral_between(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        assert [hi - lo for lo, hi in zip(cdf, cdf[1:])] == masses
+
+
 class TestMarginalOracle:
     SPECTRA = [
         SPEC_45,

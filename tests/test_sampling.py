@@ -323,6 +323,26 @@ class TestFixedSpectrum:
         b = sp.fixed_spectrum_gaps(self.LAM, 70_000, seed=26, threads=3)
         assert np.array_equal(a, b)
 
+    # One sample; one chunk short of full; a full chunk plus one; and a full
+    # block followed by a second block that ends in a one-sample chunk.
+    @pytest.mark.parametrize("count", [1, sp._CHUNK - 1, sp._CHUNK + 1, sp._BLOCK + sp._CHUNK + 1])
+    def test_chunked_gaps_match_states_block_by_block(self, count):
+        gaps = sp.fixed_spectrum_gaps(self.LAM, count, seed=28)
+        ref = []
+        for i, start in enumerate(range(0, count, sp._BLOCK)):
+            size = min(sp._BLOCK, count - start)
+            states = sp._fixed_spectrum_block(np.array(self.LAM), sp.stream_rng(28, i), size)
+            ref.append(sp._marginal_gaps_block(states))
+        ref = np.concatenate(ref)
+        assert gaps.shape == (count,)
+        assert np.max(np.abs(gaps - ref)) < 1e-12
+
+    def test_chunked_gaps_independent_of_thread_count(self):
+        count = sp._BLOCK + sp._CHUNK + 1
+        a = sp.fixed_spectrum_gaps(self.LAM, count, seed=29, threads=1)
+        b = sp.fixed_spectrum_gaps(self.LAM, count, seed=29, threads=3)
+        assert np.array_equal(a, b)
+
     def test_histogram_keeps_every_sample(self):
         # np.histogram drops values outside [0, b3]; a non-unitary U would
         # push some gaps out and lose them here.
