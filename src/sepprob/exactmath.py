@@ -5,8 +5,10 @@ form q * pi**k * sqrt(m).
 Rationals are plain ``fractions.Fraction`` (arbitrary precision; denominators
 like 15! appear downstream and must stay exact).  Polynomials map exponent
 tuples to nonzero Fraction coefficients, so equality is structural and
-bit-exact.  Products and substitutions run on integer numerators over one
-common denominator and build a single reduced Fraction per output term.
+bit-exact.  Products, substitutions and definite integrals run on integer
+numerators over one common denominator.  Substitution has one kernel,
+``_horner``; ``iterated_integrate`` carries (numerators, denominator) through
+every level and builds the Fractions once, on its result.
 Variables are positional indices; the modules that build concrete expressions
 keep their own symbol tables.
 """
@@ -14,13 +16,14 @@ keep their own symbol tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, pi, sqrt
+from math import factorial, gcd, lcm, pi, sqrt
 from operator import add
 from typing import Mapping, Sequence
 
 Rational = Fraction
 
 Exponent = tuple[int, ...]
+IntTerms = dict[Exponent, int]  # integer numerators over a denominator kept alongside
 
 
 def rational_str(q: Fraction) -> str:
@@ -42,33 +45,45 @@ def decimal_str(x: float) -> str:
     return format(x, ".17g")
 
 
-def _add_into(acc: dict[Exponent, Fraction], terms: Mapping[Exponent, Fraction]) -> None:
-    """acc += terms, in place; zero sums stay until the result is wrapped."""
-    get = acc.get
-    for e, c in terms.items():
-        old = get(e)
-        acc[e] = c if old is None else old + c
-
-
-def _int_form(terms: Mapping[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
+def _int_form(terms: Mapping[Exponent, Fraction]) -> tuple[IntTerms, int]:
     """(numerators, den): den is the lcm of the denominators, terms = numerators / den."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
-def _int_mul_into(
-    acc: dict[Exponent, int],
-    left: Mapping[Exponent, int],
-    right: Mapping[Exponent, int],
-    scale: int,
-) -> None:
-    """acc += scale * left * right, in place, on integer numerators of one arity."""
+def _int_mul_into(acc: IntTerms, left: IntTerms, right: IntTerms) -> None:
+    """acc += left * right, in place, on integer numerators of one arity."""
     get = acc.get
     for e1, c1 in left.items():
-        c1 *= scale
         for e2, c2 in right.items():
             e = tuple(map(add, e1, e2))
             acc[e] = get(e, 0) + c1 * c2
+
+
+def _by_power(num: IntTerms, var: int) -> dict[int, IntTerms]:
+    """Group numerators by their power of ``var``, with that power zeroed in the keys."""
+    groups: dict[int, IntTerms] = {}
+    for e, c in num.items():
+        groups.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1 :]] = c
+    return groups
+
+
+def _horner(groups: dict[int, IntTerms], num: IntTerms, den: int) -> tuple[IntTerms, int]:
+    """The one substitution kernel: (h, den**K) with h / den**K equal to
+    sum_k groups[k] * (num / den)**k, K the top power, by homogenised Horner
+    on integer numerators (h <- h * num + groups[k] * den**(K - k))."""
+    top = max(groups)
+    h = groups[top]
+    scale = 1
+    for k in range(top - 1, -1, -1):
+        scale *= den
+        acc: IntTerms = {}
+        _int_mul_into(acc, h, num)
+        get = acc.get
+        for e, c in groups.get(k, {}).items():
+            acc[e] = get(e, 0) + c * scale
+        h = acc
+    return h, scale
 
 
 class MultiPoly:
@@ -147,7 +162,8 @@ class MultiPoly:
             other = MultiPoly.constant(self.arity, other)
         self._check_arity(other)
         terms = dict(self.terms)
-        _add_into(terms, other.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms[e] + c if e in terms else c
         return MultiPoly._trusted(self.arity, terms)
 
     __radd__ = __add__
@@ -176,8 +192,8 @@ class MultiPoly:
         self._check_arity(other)
         nl, dl = _int_form(self.terms)
         nr, dr = _int_form(other.terms)
-        acc: dict[Exponent, int] = {}
-        _int_mul_into(acc, nl, nr, 1)
+        acc: IntTerms = {}
+        _int_mul_into(acc, nl, nr)
         den = dl * dr
         return MultiPoly._trusted(self.arity, {e: Fraction(v, den) for e, v in acc.items()})
 
@@ -273,27 +289,20 @@ class MultiPoly:
     def substitute(self, var: int, value: "MultiPoly") -> "MultiPoly":
         """Exact composition: replace variable ``var`` by the polynomial ``value``.
 
-        The terms are grouped by their power of ``var``; each group is
-        convolved on integer numerators with that power of ``value``, all into
-        one accumulator over a common denominator, and one reduced Fraction is
-        built per output term.
+        The terms are grouped by their power of ``var`` and evaluated at
+        ``value`` by :func:`_horner` on integer numerators; one reduced
+        Fraction is built per output term.
         """
         if not 0 <= var < self.arity:
             raise ValueError(f"variable index {var} out of range")
         if not isinstance(value, MultiPoly):
             value = MultiPoly.constant(self.arity, value)
         self._check_arity(value)
-        groups: dict[int, dict[Exponent, Fraction]] = {}
-        for exps, coeff in self.terms.items():
-            groups.setdefault(exps[var], {})[exps[:var] + (0,) + exps[var + 1 :]] = coeff
-        powers = [MultiPoly.constant(self.arity, 1)]
-        for _ in range(max(groups, default=0)):
-            powers.append(powers[-1] * value)
-        forms = [(_int_form(g), _int_form(powers[k].terms)) for k, g in groups.items()]
-        den = lcm(*(dl * dr for (_, dl), (_, dr) in forms))
-        acc: dict[Exponent, int] = {}
-        for (nl, dl), (nr, dr) in forms:
-            _int_mul_into(acc, nl, nr, den // (dl * dr))
+        num, den = _int_form(self.terms)
+        if not num:
+            return MultiPoly(self.arity)
+        acc, scale = _horner(_by_power(num, var), *_int_form(value.terms))
+        den *= scale
         return MultiPoly._trusted(self.arity, {e: Fraction(v, den) for e, v in acc.items()})
 
     def derivative(self, var: int) -> "MultiPoly":
@@ -302,11 +311,8 @@ class MultiPoly:
         terms: dict[Exponent, Fraction] = {}
         for exps, coeff in self.terms.items():
             k = exps[var]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[var] = k - 1
-            terms[tuple(e)] = coeff * k
+            if k:
+                terms[exps[:var] + (k - 1,) + exps[var + 1 :]] = coeff * k
         return MultiPoly._trusted(self.arity, terms)
 
     def antiderivative(self, var: int) -> "MultiPoly":
@@ -314,9 +320,8 @@ class MultiPoly:
             raise ValueError(f"variable index {var} out of range")
         terms: dict[Exponent, Fraction] = {}
         for exps, coeff in self.terms.items():
-            e = list(exps)
-            e[var] = exps[var] + 1
-            terms[tuple(e)] = coeff / (exps[var] + 1)
+            k = exps[var] + 1
+            terms[exps[:var] + (k,) + exps[var + 1 :]] = coeff / k
         return MultiPoly._trusted(self.arity, terms)
 
     def shift_down(self, var: int, k: int) -> "MultiPoly":
@@ -325,9 +330,7 @@ class MultiPoly:
         for exps, coeff in self.terms.items():
             if exps[var] < k:
                 raise ArithmeticError(f"term {exps} not divisible by variable {var}**{k}")
-            e = list(exps)
-            e[var] = exps[var] - k
-            terms[tuple(e)] = coeff
+            terms[exps[:var] + (exps[var] - k,) + exps[var + 1 :]] = coeff
         return MultiPoly._trusted(self.arity, terms)
 
     def to_json(self) -> list[dict]:
@@ -350,8 +353,9 @@ def compose(outer: MultiPoly, inner: Sequence[MultiPoly]) -> MultiPoly:
     """Simultaneous substitution: outer(x_0, ..., x_{k-1}) with x_i := inner[i].
 
     All inner polynomials must share one arity, which becomes the arity of
-    the result.  Unlike repeated ``substitute`` calls, the replacement is
-    simultaneous, so inner polynomials may reuse the same variable indices.
+    the result.  The k substitutions run in a lifted arity in which the inner
+    variables follow the outer ones, so the replacement is simultaneous and
+    inner polynomials may reuse the same variable indices.
     """
     if len(inner) != outer.arity:
         raise ValueError("need one inner polynomial per outer variable")
@@ -360,20 +364,12 @@ def compose(outer: MultiPoly, inner: Sequence[MultiPoly]) -> MultiPoly:
     arity = inner[0].arity
     if any(q.arity != arity for q in inner):
         raise ValueError("inner polynomials must share one arity")
-    terms: dict[Exponent, Fraction] = {}
-    powers: list[dict[int, MultiPoly]] = [{0: MultiPoly.constant(arity, 1)} for _ in inner]
-    for exps, coeff in outer.terms.items():
-        term = MultiPoly.constant(arity, coeff)
-        for i, e in enumerate(exps):
-            if e not in powers[i]:
-                m = max(powers[i])
-                p = powers[i][m]
-                for j in range(m + 1, e + 1):
-                    p = p * inner[i]
-                    powers[i][j] = p
-            term = term * powers[i][e]
-        _add_into(terms, term.terms)
-    return MultiPoly._trusted(arity, terms)
+    k = outer.arity
+    p = MultiPoly._trusted(k + arity, {e + (0,) * arity: c for e, c in outer.terms.items()})
+    for i, q in enumerate(inner):
+        lifted = MultiPoly._trusted(k + arity, {(0,) * k + e: c for e, c in q.terms.items()})
+        p = p.substitute(i, lifted)
+    return MultiPoly._trusted(arity, {e[k:]: c for e, c in p.terms.items()})
 
 
 def extract_univariate(p: MultiPoly, var: int) -> MultiPoly:
@@ -387,19 +383,9 @@ def extract_univariate(p: MultiPoly, var: int) -> MultiPoly:
 
 
 def integrate_once(p: MultiPoly, var: int, lower, upper) -> MultiPoly:
-    """Definite integral of ``p`` in ``var`` between polynomial bounds.
-
-    The bounds must not involve ``var``; the result is the antiderivative
-    evaluated by exact substitution.
-    """
-    if not isinstance(lower, MultiPoly):
-        lower = MultiPoly.constant(p.arity, lower)
-    if not isinstance(upper, MultiPoly):
-        upper = MultiPoly.constant(p.arity, upper)
-    if lower.involves(var) or upper.involves(var):
-        raise ValueError(f"integration bound depends on variable {var}")
-    anti = p.antiderivative(var)
-    return anti.substitute(var, upper) - anti.substitute(var, lower)
+    """Definite integral of ``p`` in ``var`` between polynomial bounds that
+    do not involve ``var``: :func:`iterated_integrate` with one bound triple."""
+    return iterated_integrate(p, [(var, lower, upper)])
 
 
 def iterated_integrate(
@@ -407,25 +393,40 @@ def iterated_integrate(
 ) -> MultiPoly:
     """Nested definite integral, innermost bound triple first.
 
-    Each bound may depend only on variables not yet integrated out; violating
-    that ordering raises ValueError.
+    A bound that involves its own variable or an integrated-out one raises
+    ValueError, as does integrating a variable twice.  Per level, on integer
+    numerators: the antiderivative scales var**k by lcm(1..K)/(k+1), both
+    bounds go through :func:`_horner`, and one gcd reduces the difference.
     """
     done: set[int] = set()
-    result = p
+    num, den = _int_form(p.terms)
     for var, lower, upper in bounds:
         if var in done:
             raise ValueError(f"variable {var} integrated twice")
-        if not isinstance(lower, MultiPoly):
-            lower = MultiPoly.constant(p.arity, lower)
-        if not isinstance(upper, MultiPoly):
-            upper = MultiPoly.constant(p.arity, upper)
-        for b in (lower, upper):
-            bad = [v for v in done if b.involves(v)]
-            if bad:
+        forms = []
+        for b in (upper, lower):
+            b = b if isinstance(b, MultiPoly) else MultiPoly.constant(p.arity, b)
+            if b.involves(var):
+                raise ValueError(f"integration bound depends on variable {var}")
+            if bad := [v for v in done if b.involves(v)]:
                 raise ValueError(f"bound for variable {var} depends on integrated-out {bad}")
-        result = integrate_once(result, var, lower, upper)
+            forms.append(_int_form(b.terms))
         done.add(var)
-    return result
+        if not num:
+            continue
+        groups = _by_power(num, var)
+        m = lcm(*range(1, max(groups) + 2))
+        groups = {k + 1: {e: c * (m // (k + 1)) for e, c in g.items()} for k, g in groups.items()}
+        (hu, su), (hl, sl) = (_horner(groups, *f) for f in forms)
+        scale = lcm(su, sl)
+        su, sl = scale // su, scale // sl
+        num = {e: c * su for e, c in hu.items()}
+        for e, c in hl.items():
+            num[e] = num.get(e, 0) - c * sl
+        den *= m * scale
+        g = gcd(den, *num.values())
+        num, den = {e: c // g for e, c in num.items() if c}, den // g
+    return MultiPoly._trusted(p.arity, {e: Fraction(c, den) for e, c in num.items()})
 
 
 class LaurentSeries:
@@ -581,10 +582,6 @@ class SymbolicReal:
         self.pi_power = pi_power
         self.radicand = m
 
-    @classmethod
-    def from_rational(cls, q) -> "SymbolicReal":
-        return cls(Fraction(q))
-
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -616,7 +613,7 @@ class SymbolicReal:
 
     def __add__(self, other: "SymbolicReal") -> "SymbolicReal":
         if not isinstance(other, SymbolicReal):
-            other = SymbolicReal.from_rational(other)
+            other = SymbolicReal(other)
         if self.is_zero:
             return other
         if other.is_zero:
@@ -633,7 +630,7 @@ class SymbolicReal:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolicReal):
-            other = SymbolicReal.from_rational(other)
+            other = SymbolicReal(other)
         return (
             self.coeff == other.coeff
             and self.pi_power == other.pi_power

@@ -87,8 +87,9 @@ def gap_change_of_variables() -> ChangeOfVariables:
     return ChangeOfVariables(tuple(forward), inverse, abs(det))
 
 
+@lru_cache(maxsize=None)
 def vandermonde_gap_poly() -> MultiPoly:
-    """Spectrum Vandermonde in gap coordinates.
+    """Spectrum Vandermonde in gap coordinates (cached; MultiPoly is immutable).
 
     t1*t2*t3*(2t1+t2)*(3t2+2t3)*(6t1+3t2+2t3) / 432, expanded.
     """

@@ -1,6 +1,10 @@
 """Algebraic laws of MultiPoly stated as hypothesis properties: the ring
 laws, substitution as a ring homomorphism, compose and products against
-evaluation, and the product rule and inverse of the derivative."""
+evaluation, the product rule and inverse of the derivative, and the
+integer-numerator iterated integral against a Fraction-domain reference."""
+
+from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -9,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepprob.exactmath import MultiPoly, compose
+from sepprob.exactmath import MultiPoly, compose, iterated_integrate
 
 ARITY = 3
 # Fixed examples (no example database), so every run checks the same cases.
@@ -89,3 +93,78 @@ def test_product_agrees_with_evaluation(p, q, pt):
 def test_derivative_laws(p, q, var):
     assert (p * q).derivative(var) == p.derivative(var) * q + p * q.derivative(var)
     assert p.antiderivative(var).derivative(var) == p
+
+
+# -- iterated integration against a reference on plain Fraction dicts -------
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return out
+
+
+def _ref_substitute(p, var, value):
+    out, powers = {}, [{(0,) * ARITY: Fraction(1)}]
+    for e, c in p.items():
+        while len(powers) <= e[var]:
+            powers.append(_ref_mul(powers[-1], value))
+        rest = {e[:var] + (0,) + e[var + 1 :]: c}
+        for e2, c2 in _ref_mul(rest, powers[e[var]]).items():
+            out[e2] = out.get(e2, Fraction(0)) + c2
+    return out
+
+
+def _ref_iterated_integrate(p, bounds):
+    """Antiderivative, then substitute(upper) - substitute(lower), per level."""
+    terms = dict(p.terms)
+    for var, lower, upper in bounds:
+        anti = {e[:var] + (e[var] + 1,) + e[var + 1 :]: c / (e[var] + 1) for e, c in terms.items()}
+        terms = _ref_substitute(anti, var, upper.terms)
+        for e, c in _ref_substitute(anti, var, lower.terms).items():
+            terms[e] = terms.get(e, Fraction(0)) - c
+    return MultiPoly(ARITY, terms)
+
+
+@st.composite
+def affine_bounds(draw, free):
+    """Zero, a constant, or an affine form in the variables of ``free``."""
+    kind = draw(st.sampled_from(["zero", "constant", "affine"]))
+    if kind == "zero":
+        return MultiPoly(ARITY)
+    coeffs = {v: draw(rationals) for v in free} if kind == "affine" else {}
+    return MultiPoly.linear(ARITY, coeffs, draw(rationals))
+
+
+@st.composite
+def integration_plans(draw):
+    order = draw(st.permutations(range(ARITY)))[: draw(st.integers(1, ARITY))]
+    bounds = []
+    for i, var in enumerate(order):
+        free = [v for v in range(ARITY) if v not in order[: i + 1]]
+        bounds.append((var, draw(affine_bounds(free)), draw(affine_bounds(free))))
+    return bounds
+
+
+@EXAMPLES
+@given(polys(max_degree=3), integration_plans())
+def test_iterated_integral_matches_fraction_reference(p, bounds):
+    assert iterated_integrate(p, bounds) == _ref_iterated_integrate(p, bounds)
+
+
+@EXAMPLES
+@given(polys(), variables, st.integers(1, ARITY - 1), rationals)
+def test_iterated_integral_rejects_bad_bounds(p, var, step, c):
+    other = (var + step) % ARITY
+    x = MultiPoly.variable(ARITY, var)
+    bad_plans = [
+        [(var, c, x + c)],  # a bound involves its own variable
+        [(var, 0, c), (var, 0, c)],  # a variable integrated twice
+        [(var, 0, c), (other, x + c, c + 1)],  # a bound on an integrated-out variable
+    ]
+    for bounds in bad_plans:
+        with pytest.raises(ValueError):
+            iterated_integrate(p, bounds)

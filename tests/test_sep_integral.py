@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from sepprob.exactmath import MultiPoly, compose
+from sepprob.exactmath import MultiPoly, compose, integrate_once, iterated_integrate
 from sepprob.sep_integral import (
     REGION_NAMES,
     SymbolicReal,
@@ -347,6 +347,47 @@ class TestRadialVolume:
 
         wrong_shell = SymbolicReal(integrate_once(wrong_moment, 0, 0, 1).evaluate([0]) / 2, 1)
         assert wrong_shell * ZERO_CONDITIONED_VOLUME != state_space_volume_hs(4)
+
+
+class TestHalfBoundedIdentity:
+    """Flat-measure P(lambda_max <= 1/2) = 149/2048, computed twice: over the
+    spectrum simplex directly, and as the radial average of f(a) / V(a).  The
+    radius range [0, 1/3] carries only part of the radial mass, so the
+    identity also tests the polynomial f beyond its derived range."""
+
+    def spectrum_vandermonde_squared(self):
+        lam = [MultiPoly.variable(3, i) for i in range(3)]
+        lam.append(MultiPoly.constant(3, 1) - lam[0] - lam[1] - lam[2])
+        v = MultiPoly.constant(3, 1)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                v = v * (lam[i] - lam[j]) ** 2
+        return v
+
+    def test_simplex_side(self):
+        # lambda_4 = 1 - l1 - l2 - l3 <= 1/2 puts l3 above 1/2 - l1 - l2; the
+        # two linear pieces split at l1 + l2 = 1/2.
+        integrand = self.spectrum_vandermonde_squared()
+        assert len(integrand.terms) == 336 and integrand.degree() == 12
+        l1, l2 = MultiPoly.variable(3, 0), MultiPoly.variable(3, 1)
+        half, one, zero = MultiPoly.constant(3, F(1, 2)), MultiPoly.constant(3, 1), MultiPoly(3)
+        below = [(2, half - l1 - l2, half), (1, zero, half - l1), (0, zero, half)]
+        above = [(2, zero, one - l1 - l2), (1, half - l1, half), (0, zero, half)]
+        simplex = [(2, zero, one - l1 - l2), (1, zero, one - l1), (0, zero, one)]
+        bounded = iterated_integrate(integrand, below) + iterated_integrate(integrand, above)
+        whole = iterated_integrate(integrand, simplex)
+        assert bounded.arity == whole.arity == 3 and bounded.degree() == whole.degree() == 0
+        assert bounded.coefficient((0, 0, 0)) / whole.coefficient((0, 0, 0)) == F(149, 2048)
+
+    def test_radial_side(self):
+        f = separable_slice_poly()
+        a = x1()
+        f_moment = integrate_once(a * a * f.poly, 0, 0, 1).evaluate([0]) * f.prefactor
+        v_moment = conditioned_volume(0) * radial_shell_integral()
+        assert f_moment / v_moment == SymbolicReal(F(149, 2048))
+        # The closed form of f stays guarded to [0, 1/3].
+        with pytest.raises(ValueError):
+            separable_slice_volume(F(2, 5))
 
 
 class TestProbability:
