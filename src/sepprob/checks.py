@@ -1,15 +1,18 @@
 """Self-check suite behind ``verify all``.
 
-Each check returns (name, passed, detail).  The default scales keep the whole
-suite under a minute; ``deep=True`` reruns the stochastic checks at full
-acceptance scale.
+Each check returns (name, passed, detail); ``run_all`` yields them at verify
+all's seeds, counts and bounds.  Acceptance criteria 4, 6, 8, 9 and 10 call
+the same functions here at their frozen seeds and counts, with their own
+bounds; criterion 7 calls ``sampling.estimate_sep_prob`` as
+``check_monte_carlo_global`` does.  The default scales keep the suite under a
+minute; ``deep=True`` reruns the stochastic checks at full acceptance scale.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -99,27 +102,37 @@ def check_volume_identities(seed: int) -> Check:
     return ("volume identities", True, "flag scaling, state space, 50 random orbits")
 
 
-def check_density_routes(seed: int, points_per_chamber: int = 100) -> Check:
+def density_identity_failure() -> str | None:
+    """None when the wall-crossing route equals the closed form and the closed
+    form is continuous across every wall; otherwise the identity that fails."""
     closed = dh.convolution_density_closed()
     if dh.convolution_density_jump() != closed:
-        return ("density routes", False, "wall-crossing route disagrees with closed form")
-    r = MultiPoly.variable(2, 0)
-    s = MultiPoly.variable(2, 1)
-    walls = [
-        closed.piece("C1").substitute(1, MultiPoly(2)) - closed.piece("C2").substitute(1, MultiPoly(2)),
-        closed.piece("C2").substitute(1, r) - closed.piece("C3").substitute(1, r),
-        closed.piece("C1").substitute(1, -r),
-        closed.piece("C3").substitute(0, MultiPoly(2)),
-    ]
+        return "wall-crossing route disagrees with closed form"
+    r, zero = MultiPoly.variable(2, 0), MultiPoly(2)
+    c1, c2, c3 = (closed.piece(label) for label in ("C1", "C2", "C3"))
+    walls = [c1.substitute(1, zero) - c2.substitute(1, zero), c2.substitute(1, r) - c3.substitute(1, r),
+             c1.substitute(1, -r), c3.substitute(0, zero)]
     if any(not w.is_zero for w in walls):
-        return ("density routes", False, "wall continuity identity broken")
+        return "wall continuity identity broken"
+    return None
+
+
+def density_oracle_points(seed: int, points_per_chamber: int) -> Iterator[tuple[tuple, float, float]]:
+    """Yield (point, closed form, fiber-polytope oracle) at ``chamber_point``
+    draws, ``points_per_chamber`` per chamber in ``dh.CHAMBER_LABELS`` order."""
+    closed = dh.convolution_density_closed()
     rng = random.Random(seed)
-    worst = 0.0
-    for label in ("C0", "C1", "C2", "C3"):
+    for label in dh.CHAMBER_LABELS:
         for _ in range(points_per_chamber):
             pt = chamber_point(rng, label)
-            err = abs(dh.fiber_polytope_density(pt) - float(closed.evaluate(*pt)))
-            worst = max(worst, err)
+            yield pt, float(closed.evaluate(*pt)), dh.fiber_polytope_density(pt)
+
+
+def check_density_routes(seed: int, points_per_chamber: int = 100) -> Check:
+    broken = density_identity_failure()
+    if broken:
+        return ("density routes", False, broken)
+    worst = max(abs(c - o) for _, c, o in density_oracle_points(seed, points_per_chamber))
     if worst > 1e-9:
         return ("density routes", False, f"fiber oracle off by {worst:.2e}")
     return ("density routes", True, f"jump==closed, walls exact, oracle max err {worst:.1e}")
@@ -154,7 +167,12 @@ def check_density_nonnegative(grid: int = 100) -> Check:
     return ("density nonnegativity", True, f"{3 * grid * grid} grid points across chambers")
 
 
-def _random_simple_centered(rng: random.Random) -> CenteredSpectrum:
+# The spectrum (0.45, 0.27, 0.18, 0.10), centred; gap support [0, 11/25].
+SPEC_45 = CenteredSpectrum([Fraction(1, 5), Fraction(1, 50), Fraction(-7, 100), Fraction(-3, 20)])
+
+
+def random_simple_centered(rng: random.Random) -> CenteredSpectrum:
+    """A random centred spectrum with four distinct rational eigenvalues."""
     while True:
         raw = sorted({Fraction(rng.randint(1, 200), 401) for _ in range(4)}, reverse=True)
         if len(raw) == 4:
@@ -165,7 +183,7 @@ def _random_simple_centered(rng: random.Random) -> CenteredSpectrum:
 def check_marginal_mass(seed: int, trials: int = 10) -> Check:
     rng = random.Random(seed)
     for _ in range(trials):
-        c = _random_simple_centered(rng)
+        c = random_simple_centered(rng)
         if dh.total_gap_mass(c) != dh.vandermonde_over_twelve(c):
             return ("marginal density mass", False, f"mass identity fails for {c.entries}")
     return ("marginal density mass", True, f"{trials} random simple spectra, exact")
@@ -173,8 +191,8 @@ def check_marginal_mass(seed: int, trials: int = 10) -> Check:
 
 def check_marginal_oracle(grid: int = 50) -> Check:
     spectra = [
-        CenteredSpectrum([Fraction(1, 5), Fraction(1, 50), Fraction(-7, 100), Fraction(-3, 20)]),
-        CenteredSpectrum([Fraction(2, 10), Fraction(1, 50), Fraction(-7, 100), Fraction(-3, 20)]).scaled(Fraction(1, 2)),
+        SPEC_45,
+        SPEC_45.scaled(Fraction(1, 2)),
         CenteredSpectrum([Fraction(9, 40), Fraction(1, 40), Fraction(-2, 40), Fraction(-8, 40)]),
     ]
     worst = 0.0
@@ -193,7 +211,7 @@ def check_marginal_oracle(grid: int = 50) -> Check:
 def check_scaling_covariance(seed: int) -> Check:
     rng = random.Random(seed)
     for _ in range(10):
-        c = _random_simple_centered(rng)
+        c = random_simple_centered(rng)
         tau = Fraction(rng.randint(1, 8), rng.randint(1, 8))
         base = dh.marginal_support(c)
         scaled = dh.marginal_support(c.scaled(tau))
@@ -293,9 +311,7 @@ def check_sampling_core(seed: int) -> Check:
 
 def check_fixed_spectrum(seed: int, count: int = 20000) -> Check:
     lam = [0.45, 0.27, 0.18, 0.10]
-    centered = CenteredSpectrum([Fraction(9, 20) - Fraction(1, 4), Fraction(27, 100) - Fraction(1, 4),
-                                 Fraction(18, 100) - Fraction(1, 4), Fraction(1, 10) - Fraction(1, 4)])
-    b3 = float(dh.marginal_support(centered).b3)
+    b3 = float(dh.marginal_support(SPEC_45).b3)
     gaps = sp.fixed_spectrum_gaps(lam, count, seed)
     if gaps.max() > b3 + 1e-9 or gaps.min() < -1e-12:
         return ("fixed-spectrum gaps", False, f"gap outside [0, {b3}]")
@@ -310,33 +326,29 @@ def check_monte_carlo_global(seed: int, count: int) -> Check:
     est = sp.estimate_sep_prob(sp.SamplerConfig(seed=seed, count=count), threads=4)
     target = 8.0 / 33.0
     band = max(0.002, 5.0 * est.stderr)
-    ok = abs(est.fraction - target) <= band
-    return (
-        "global separability fraction",
-        ok,
-        f"{est.fraction:.5f} vs {target:.5f} (n={count}, ±{band:.4f})",
-    )
+    detail = f"{est.fraction:.5f} vs {target:.5f} (n={count}, ±{band:.4f})"
+    return ("global separability fraction", abs(est.fraction - target) <= band, detail)
 
 
-def check_conditioned_constancy(seed: int, count: int) -> Check:
-    worst = 0.0
-    details = []
-    for a in (0.0, 0.2, 0.4):
-        stats = sp.conditioned_ppt_stats(a, sp.SamplerConfig(seed=seed, count=count))
-        dev = abs(stats.fraction - 8.0 / 33.0)
-        worst = max(worst, dev)
-        details.append(f"a={a}: {stats.fraction:.4f}")
-    return ("conditioned constancy", worst <= 0.01, "; ".join(details) + f" (max dev {worst:.4f})")
+SLICE_RADII = (0.0, 0.2, 0.4)
 
 
-def check_halfbound_equivalence(seed: int, count: int) -> Check:
-    stats = sp.conditioned_ppt_stats(0.0, sp.SamplerConfig(seed=seed, count=count))
+def conditioned_slices(seed: int, count: int) -> tuple[sp.ConditionedStats, ...]:
+    """Walk statistics of ``count`` samples at ``seed`` on each slice of
+    ``SLICE_RADII``; the half-bound readers take the a = 0 slice."""
+    return tuple(sp.conditioned_ppt_stats(a, sp.SamplerConfig(seed=seed, count=count)) for a in SLICE_RADII)
+
+
+def check_conditioned_constancy(slices: tuple[sp.ConditionedStats, ...]) -> Check:
+    worst = max(abs(stats.fraction - 8.0 / 33.0) for stats in slices)
+    details = "; ".join(f"a={a}: {stats.fraction:.4f}" for a, stats in zip(SLICE_RADII, slices))
+    return ("conditioned constancy", worst <= 0.01, f"{details} (max dev {worst:.4f})")
+
+
+def check_halfbound_equivalence(stats: sp.ConditionedStats, count: int) -> Check:
     ok = stats.agreement_halfbound == 1.0 and stats.band_count < max(1, count // 1000)
-    return (
-        "transpose vs half-bound tests",
-        ok,
-        f"agreement {stats.agreement_halfbound:.6f}, band {stats.band_count}/{count}",
-    )
+    detail = f"agreement {stats.agreement_halfbound:.6f}, band {stats.band_count}/{count}"
+    return ("transpose vs half-bound tests", ok, detail)
 
 
 class MarginalHistogram(NamedTuple):
@@ -379,39 +391,36 @@ def marginal_histogram(
 
 
 def check_marginal_law(seed: int, count: int) -> Check:
-    centered = CenteredSpectrum([Fraction(1, 5), Fraction(1, 50), Fraction(-7, 100), Fraction(-3, 20)])
-    hist = marginal_histogram(centered, count, seed)
+    hist = marginal_histogram(SPEC_45, count, seed)
     # Seed-robust bound: 3.5 binomial sigmas of the fullest bin.  A wrong
     # density or normalization overshoots this by an order of magnitude.
     bound = 3.5 * hist.sigma_peak
-    return (
-        "fixed-spectrum marginal law",
-        hist.sup_norm < bound,
-        f"sup-norm {hist.sup_norm:.4f} over {len(hist.masses)} bins (bound {bound:.4f}, n={count})",
-    )
+    detail = f"sup-norm {hist.sup_norm:.4f} over {len(hist.masses)} bins (bound {bound:.4f}, n={count})"
+    return ("fixed-spectrum marginal law", hist.sup_norm < bound, detail)
 
 
-def run_all(seed: int = 42, deep: bool = False) -> list[Check]:
+def run_all(seed: int = 42, deep: bool = False) -> Iterator[Check]:
+    """Yield every check of ``verify all`` in report order.  Each check runs
+    when it is reached, so a caller can time it."""
     mc_n = 1_000_000 if deep else 50_000
     har_n = 100_000 if deep else 20_000
     law_n = 1_000_000 if deep else 200_000
-    return [
-        check_ring_axioms(seed),
-        check_fundamental_theorem(seed + 1),
-        check_integral_linearity(seed + 2),
-        check_residue_truncation(seed + 3),
-        check_volume_identities(seed + 4),
-        check_density_routes(seed + 5),
-        check_density_nonnegative(),
-        check_marginal_mass(seed + 6),
-        check_marginal_oracle(),
-        check_scaling_covariance(seed + 7),
-        check_regions(),
-        check_exact_pipeline(),
-        check_sampling_core(seed + 8),
-        check_fixed_spectrum(seed + 9),
-        check_monte_carlo_global(seed + 10, mc_n),
-        check_conditioned_constancy(seed + 11, har_n),
-        check_halfbound_equivalence(seed + 12, har_n),
-        check_marginal_law(seed + 13, law_n),
-    ]
+    yield check_ring_axioms(seed)
+    yield check_fundamental_theorem(seed + 1)
+    yield check_integral_linearity(seed + 2)
+    yield check_residue_truncation(seed + 3)
+    yield check_volume_identities(seed + 4)
+    yield check_density_routes(seed + 5)
+    yield check_density_nonnegative()
+    yield check_marginal_mass(seed + 6)
+    yield check_marginal_oracle()
+    yield check_scaling_covariance(seed + 7)
+    yield check_regions()
+    yield check_exact_pipeline()
+    yield check_sampling_core(seed + 8)
+    yield check_fixed_spectrum(seed + 9)
+    yield check_monte_carlo_global(seed + 10, mc_n)
+    slices = conditioned_slices(seed + 11, har_n)
+    yield check_conditioned_constancy(slices)
+    yield check_halfbound_equivalence(slices[0], har_n)
+    yield check_marginal_law(seed + 13, law_n)

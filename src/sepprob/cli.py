@@ -39,8 +39,8 @@ def _report(command: str, results, seed=None, checks_list=None, t0: float | None
         "results": results,
     }
     if checks_list is not None:
-        rep["checks"] = [{"name": n, "pass": bool(p), "detail": d} for n, p, d in checks_list]
-        rep["pass"] = all(bool(p) for _, p, _ in checks_list)
+        rep["checks"] = checks_list
+        rep["pass"] = all(c["pass"] for c in checks_list)
     return rep
 
 
@@ -106,22 +106,22 @@ def cmd_volumes(args) -> int:
 
 def cmd_density(args) -> int:
     t0 = time.time()
-    closed = dh.convolution_density_closed()
     if args.grid:
-        _density_grid_csv(closed, args.grid)
+        _density_grid_csv(dh.convolution_density_closed(), args.grid)
         return 0
     if args.check_oracle:
-        rows, worst = _oracle_rows(closed, args.points, args.seed)
+        rows, worst = _oracle_rows(args.points, args.seed)
         ok = worst <= args.tol
         rep = _report(
             "density --check-oracle",
             {"rows": rows, "max_abs_err": decimal_str(worst), "tolerance": args.tol},
             seed=args.seed,
-            checks_list=[("fiber oracle agreement", ok, f"max err {worst:.2e}")],
+            checks_list=[{"name": "fiber oracle agreement", "pass": ok, "detail": f"max err {worst:.2e}"}],
             t0=t0,
         )
         _emit(rep)
         return 0 if ok else 1
+    closed = dh.convolution_density_closed()
     results = {
         "chambers": {label: closed.piece(label).to_json() for label in dh.CHAMBER_LABELS},
         "variables": ["r", "s"],
@@ -130,28 +130,21 @@ def cmd_density(args) -> int:
     return 0
 
 
-def _oracle_rows(closed, points: int, seed: int):
-    import random
-
-    rng = random.Random(seed)
+def _oracle_rows(points: int, seed: int):
     rows = []
     worst = 0.0
-    for label in dh.CHAMBER_LABELS:
-        for _ in range(points):
-            pt = checks.chamber_point(rng, label)
-            exact = float(closed.evaluate(*pt))
-            oracle = dh.fiber_polytope_density(pt)
-            err = abs(exact - oracle)
-            worst = max(worst, err)
-            rows.append(
-                {
-                    "chamber": dh.classify_chamber(*pt),
-                    "point": [rational_str(pt[0]), rational_str(pt[1])],
-                    "closed_form": decimal_str(exact),
-                    "oracle": decimal_str(oracle),
-                    "abs_err": decimal_str(err),
-                }
-            )
+    for pt, exact, oracle in checks.density_oracle_points(seed, points):
+        err = abs(exact - oracle)
+        worst = max(worst, err)
+        rows.append(
+            {
+                "chamber": dh.classify_chamber(*pt),
+                "point": [rational_str(pt[0]), rational_str(pt[1])],
+                "closed_form": decimal_str(exact),
+                "oracle": decimal_str(oracle),
+                "abs_err": decimal_str(err),
+            }
+        )
     return rows, worst
 
 
@@ -277,35 +270,24 @@ def cmd_sample(args) -> int:
     if args.what == "sep":
         config = sp.SamplerConfig(seed=args.seed, count=args.n, tolerance=args.tol)
         est = sp.estimate_sep_prob(config, threads=args.threads)
-        results = {
-            "n": est.n,
-            "ppt_count": est.ppt_count,
-            "fraction": est.fraction,
-            "stderr": est.stderr,
-            "indeterminate": est.indeterminate,
-        }
-        _emit(_report("sample sep", results, seed=args.seed, t0=t0))
+        _emit(_report("sample sep", est._asdict(), seed=args.seed, t0=t0))
         return 0
     config = sp.SamplerConfig(
         seed=args.seed, count=args.n, burn_in=args.burn, thinning=args.thin, tolerance=args.tol
     )
     stats = sp.conditioned_ppt_stats(args.a, config, chains=args.chains)
-    results = {
-        "a": args.a,
-        "n": args.n,
-        "fraction": stats.fraction,
-        "stderr": stats.stderr,
-        "agreement_halfbound": stats.agreement_halfbound,
-        "band_count": stats.band_count,
-        "indeterminate": stats.indeterminate,
-    }
-    _emit(_report("sample conditioned", results, seed=args.seed, t0=t0))
+    _emit(_report("sample conditioned", {"a": args.a, "n": args.n, **stats._asdict()}, seed=args.seed, t0=t0))
     return 0
 
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    results = checks.run_all(seed=args.seed, deep=args.deep)
+    results = []
+    start = time.perf_counter()
+    for name, passed, detail in checks.run_all(seed=args.seed, deep=args.deep):
+        seconds = round(time.perf_counter() - start, 3)
+        results.append({"name": name, "pass": bool(passed), "detail": detail, "seconds": seconds})
+        start = time.perf_counter()
     rep = _report("verify all", {"deep": args.deep}, seed=args.seed, checks_list=results, t0=t0)
     _emit(rep)
     return 0 if rep["pass"] else 1

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Every tolerance is pinned here.  Stochastic criteria run at the frozen seed
-ACCEPT_SEED; the samplers are deterministic for a given seed regardless of
-thread count, so these are exact regression tests.
+Stochastic criteria run at the frozen seed ACCEPT_SEED; the samplers are
+deterministic for a given seed regardless of thread count, so these are exact
+regression tests.  Criteria 4, 6, 7, 8, 9 and 10 measure through the same
+``sepprob.checks`` functions as ``verify all``, at this module's seeds and
+counts.  Every bound is pinned here, except criterion 6's 1e-6 quadrature
+bound, which it shares with ``check_marginal_oracle``.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the criterion lines.
 """
@@ -16,16 +19,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from sepprob import dh_density as dh
+from sepprob import checks
 from sepprob import sampling as sp
 from sepprob import sep_integral as si
-from sepprob.checks import chamber_point, marginal_histogram
 from sepprob.exactmath import MultiPoly, SymbolicReal
-from sepprob.volumes import (
-    CenteredSpectrum,
-    hs_symplectic_relation_holds,
-    state_space_volume_hs,
-)
+from sepprob.volumes import hs_symplectic_relation_holds, state_space_volume_hs
 
 ACCEPT_SEED = 17
 
@@ -34,20 +32,6 @@ def criterion(num: int, ok: bool, desc: str) -> None:
     line = f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}: {desc}"
     print(line, flush=True)
     assert ok, line
-
-
-def random_simple_centered(rng):
-    while True:
-        raw = sorted({F(rng.randint(1, 400), 801) for _ in range(4)}, reverse=True)
-        if len(raw) == 4:
-            total = sum(raw)
-            return CenteredSpectrum([x / total - F(1, 4) for x in raw])
-
-
-@pytest.fixture(scope="module")
-def conditioned_zero_stats():
-    cfg = sp.SamplerConfig(seed=ACCEPT_SEED, count=100_000)
-    return sp.conditioned_ppt_stats(0.0, cfg)
 
 
 def test_criterion_1_exact_probability():
@@ -117,31 +101,12 @@ def test_criterion_3_partial_integral_polynomials():
 
 
 def test_criterion_4_density_triple_agreement():
-    closed = dh.convolution_density_closed()
-    ok_jump = dh.convolution_density_jump() == closed
-
-    r = MultiPoly.variable(2, 0)
-    zero = MultiPoly(2)
-    ok_walls = (
-        closed.piece("C1").substitute(1, zero) == closed.piece("C2").substitute(1, zero)
-        and closed.piece("C2").substitute(1, r) == closed.piece("C3").substitute(1, r)
-        and closed.piece("C1").substitute(1, -r).is_zero
-        and closed.piece("C3").substitute(0, zero).is_zero
-    )
-
-    rng = random.Random(ACCEPT_SEED)
-    worst = 0.0
-    points = 0
-    for label in ("C1", "C2", "C3", "C0"):
-        for _ in range(100):
-            rr, ss = chamber_point(rng, label)
-            err = abs(dh.fiber_polytope_density((rr, ss)) - float(closed.evaluate(rr, ss)))
-            worst = max(worst, err)
-            points += 1
-    ok_oracle = worst <= 1e-9 and points >= 300
-    criterion(4, ok_jump and ok_walls and ok_oracle,
-              f"closed = wall-crossing (exact), walls continuous (exact), "
-              f"fiber oracle max |err| {worst:.2e} <= 1e-9 at {points} points")
+    broken = checks.density_identity_failure()
+    errs = [abs(closed - oracle) for _, closed, oracle in checks.density_oracle_points(ACCEPT_SEED, 100)]
+    worst = max(errs)
+    ok = broken is None and worst <= 1e-9 and len(errs) >= 300
+    criterion(4, ok, f"closed = wall-crossing and walls continuous, exactly ({broken or 'both hold'}); "
+                     f"fiber oracle max |err| {worst:.2e} <= 1e-9 at {len(errs)} points")
 
 
 def test_criterion_5_volume_identities():
@@ -151,7 +116,7 @@ def test_criterion_5_volume_identities():
     ok_state = state_space_volume_hs(4) == SymbolicReal(F(2 * 64 * 2 * 6, factorial(15)), 6)
     ok_radial = si.radial_volume_identity_holds()
     rng = random.Random(ACCEPT_SEED + 1)
-    ok_orbits = all(hs_symplectic_relation_holds(random_simple_centered(rng)) for _ in range(50))
+    ok_orbits = all(hs_symplectic_relation_holds(checks.random_simple_centered(rng)) for _ in range(50))
     elapsed = time.monotonic() - t0
     ok = ok_state and ok_radial and ok_orbits and elapsed < 10
     criterion(5, ok, f"state-space volume = 2(2pi)^6 2! 3!/15!, radial identity, "
@@ -159,52 +124,37 @@ def test_criterion_5_volume_identities():
 
 
 def test_criterion_6_marginal_density():
-    rng = random.Random(ACCEPT_SEED + 2)
-    ok_mass = all(
-        dh.total_gap_mass(c) == dh.vandermonde_over_twelve(c)
-        for c in (random_simple_centered(rng) for _ in range(10))
-    )
-
-    spectra = [
-        CenteredSpectrum([F(1, 5), F(1, 50), F(-7, 100), F(-3, 20)]),
-        CenteredSpectrum([F(1, 10), F(1, 100), F(-7, 200), F(-3, 40)]),
-        CenteredSpectrum([F(9, 40), F(1, 40), F(-2, 40), F(-8, 40)]),
-    ]
-    worst = 0.0
-    for c in spectra:
-        density = dh.marginal_gap_density(c)
-        top = float(dh.marginal_support(c).b3)
-        for i in range(1, 51):
-            x = top * i / 52
-            worst = max(worst, abs(dh.marginal_gap_density_numeric(c, x) - density.evaluate_float(x)))
-    ok = ok_mass and worst <= 1e-6
-    criterion(6, ok, f"gap-density mass = Vandermonde/12 exactly for 10 random spectra; "
-                     f"quadrature oracle max |err| {worst:.2e} <= 1e-6 on 50-point grids, 3 spectra")
+    _, ok_mass, mass = checks.check_marginal_mass(ACCEPT_SEED + 2)
+    _, ok_oracle, oracle = checks.check_marginal_oracle()
+    criterion(6, ok_mass and ok_oracle, f"gap-density mass = Vandermonde/12 exactly ({mass}); "
+                                        f"quadrature oracle within 1e-6 ({oracle})")
 
 
 def test_criterion_7_monte_carlo_global():
     t0 = time.monotonic()
     est = sp.estimate_sep_prob(sp.SamplerConfig(seed=ACCEPT_SEED, count=1_000_000), threads=4)
     elapsed = time.monotonic() - t0
-    dev = abs(est.fraction - 0.2424242)
+    dev = abs(est.fraction - 8 / 33)
     ok = dev <= 0.002 and elapsed < 120
     criterion(7, ok, f"10^6 flat-measure states: fraction {est.fraction:.6f}, "
                      f"|dev| {dev:.6f} <= 0.002, {elapsed:.1f}s < 120s")
 
 
-def test_criterion_8_conditioned_constancy(conditioned_zero_stats):
-    fractions = {0.0: conditioned_zero_stats.fraction}
-    for a in (0.2, 0.4):
-        cfg = sp.SamplerConfig(seed=ACCEPT_SEED, count=100_000)
-        fractions[a] = sp.conditioned_ppt_stats(a, cfg).fraction
-    devs = {a: abs(f - 8 / 33) for a, f in fractions.items()}
-    ok = all(d <= 0.01 for d in devs.values())
-    detail = ", ".join(f"a={a}: {fractions[a]:.4f} (dev {devs[a]:.4f})" for a in (0.0, 0.2, 0.4))
+@pytest.fixture(scope="module")
+def slices():
+    return checks.conditioned_slices(ACCEPT_SEED, 100_000)
+
+
+def test_criterion_8_conditioned_constancy(slices):
+    devs = [abs(stats.fraction - 8 / 33) for stats in slices]
+    ok = all(d <= 0.01 for d in devs)
+    detail = ", ".join(f"a={a}: {stats.fraction:.4f} (dev {d:.4f})"
+                       for a, stats, d in zip(checks.SLICE_RADII, slices, devs))
     criterion(8, ok, f"10^5 walk samples per slice within 0.01 of 8/33: {detail}")
 
 
-def test_criterion_9_halfbound_equivalence(conditioned_zero_stats):
-    stats = conditioned_zero_stats
+def test_criterion_9_halfbound_equivalence(slices):
+    stats = slices[0]
     ok = stats.agreement_halfbound == 1.0 and stats.band_count < 100_000 * 0.001
     criterion(9, ok, f"transpose test == half-bound test on all 10^5 zero-radius samples "
                      f"outside the 1e-9 band (agreement {stats.agreement_halfbound:.6f}, "
@@ -213,13 +163,11 @@ def test_criterion_9_halfbound_equivalence(conditioned_zero_stats):
 
 def test_criterion_10_fixed_spectrum_marginal_law():
     t0 = time.monotonic()
-    centered = CenteredSpectrum([F(1, 5), F(1, 50), F(-7, 100), F(-3, 20)])
     bins = 50
     # Support [0, 11/25] with density kinks at 1/10 and 13/50; the per-bin
     # analytic masses integrate across the kinks exactly.
-    hist = marginal_histogram(centered, 1_000_000, ACCEPT_SEED, bins, threads=4)
-    sup = hist.sup_norm
+    hist = checks.marginal_histogram(checks.SPEC_45, 1_000_000, ACCEPT_SEED, bins, threads=4)
     elapsed = time.monotonic() - t0
-    ok = sup < 0.05 and elapsed < 180
-    criterion(10, ok, f"10^6 orbit samples on [0, 0.44]: sup-norm {sup:.4f} < 0.05 "
+    ok = hist.sup_norm < 0.05 and elapsed < 180
+    criterion(10, ok, f"10^6 orbit samples on [0, 0.44]: sup-norm {hist.sup_norm:.4f} < 0.05 "
                       f"over {bins} bins, {elapsed:.1f}s < 180s")

@@ -7,6 +7,8 @@ import pytest
 
 from sepprob.cli import main
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -117,7 +119,7 @@ class TestMarginalVerb:
     def test_golden_histogram_seed17(self, capsys):
         # Pinned output; regenerate only for a deliberate change of streams
         # or output, and name the reason in CHANGES.md.
-        golden = json.loads((Path(__file__).parent / "golden" / "marginal_seed17.json").read_text())
+        golden = json.loads((GOLDEN / "marginal_seed17.json").read_text())
         for threads in ("1", "2"):
             code, rep, _ = run_json(capsys, *golden["argv"], "--threads", threads)
             assert code == 0
@@ -207,14 +209,20 @@ class TestVerifyVerb:
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2
 
-    def test_verify_all_passes(self, capsys):
-        code, rep, _ = run_json(capsys, "verify", "all", "--seed", "42")
+    def test_verify_all_passes(self, verify_all_42):
+        code, rep = verify_all_42
         assert code == 0
         assert rep["pass"] is True
         names = [c["name"] for c in rep["checks"]]
+        pinned = json.loads((GOLDEN / "verify_all.json").read_text())["checks"]
+        assert names == [c["name"] for c in pinned]
         assert len(names) == len(set(names)) >= 18
         assert all(c["pass"] for c in rep["checks"])
         assert rep["seed"] == 42 and rep["wall_clock_s"] is not None
+
+    def test_verify_all_times_each_check(self, verify_all_42):
+        _, rep = verify_all_42
+        assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in rep["checks"])
 
 
 class TestUsage:

@@ -1,8 +1,11 @@
-"""Pinned `results` objects of the exact verbs, compared exactly.
+"""Pinned `results` and check lists of the CLI, compared exactly.
 
 `golden/integrate.json` holds the `results` of `integrate --emit` for each of
-M1, M2, M3, f and prob.  Regenerate an entry only for a deliberate change of
-output, and name the entry and the reason in CHANGES.md.
+M1, M2, M3, f and prob; `golden/density_oracle.json` the `results` of
+`density --check-oracle --points 25 --seed 7`; `golden/verify_all.json` the
+ordered check names and pass flags of `verify all --seed 42`.  Regenerate an
+entry only for a deliberate change of output, and name the entry and the
+reason in CHANGES.md.
 """
 
 import json
@@ -12,7 +15,8 @@ import pytest
 
 from sepprob.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "integrate.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "integrate.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["entries"]))
@@ -24,3 +28,16 @@ def test_integrate_matches_golden(name, capsys):
 
 def test_golden_covers_every_emit():
     assert sorted(GOLDEN["entries"]) == ["M1", "M2", "M3", "f", "prob"]
+
+
+def test_density_oracle_matches_golden(capsys):
+    pinned = json.loads((GOLDEN_DIR / "density_oracle.json").read_text())
+    assert main(list(pinned["argv"])) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == pinned["results"]
+
+
+def test_verify_all_matches_golden(verify_all_42):
+    pinned = json.loads((GOLDEN_DIR / "verify_all.json").read_text())
+    code, rep = verify_all_42
+    assert pinned["argv"] == ["verify", "all", "--seed", "42"] and code == 0
+    assert [{"name": c["name"], "pass": c["pass"]} for c in rep["checks"]] == pinned["checks"]
