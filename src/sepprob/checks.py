@@ -334,9 +334,11 @@ SLICE_RADII = (0.0, 0.2, 0.4)
 
 
 def conditioned_slices(seed: int, count: int) -> tuple[sp.ConditionedStats, ...]:
-    """Walk statistics of ``count`` samples at ``seed`` on each slice of
-    ``SLICE_RADII``; the half-bound readers take the a = 0 slice."""
-    return tuple(sp.conditioned_ppt_stats(a, sp.SamplerConfig(seed=seed, count=count)) for a in SLICE_RADII)
+    """Slice-sampler statistics of ``count`` iid samples on each slice of
+    ``SLICE_RADII``, the i-th at seed ``seed + i`` so that no two slices share
+    a draw; the half-bound readers take the a = 0 slice."""
+    return tuple(sp.conditioned_ppt_stats(a, sp.SamplerConfig(seed=seed + i, count=count))
+                 for i, a in enumerate(SLICE_RADII))
 
 
 def check_conditioned_constancy(slices: tuple[sp.ConditionedStats, ...]) -> Check:
@@ -403,7 +405,7 @@ def run_all(seed: int = 42, deep: bool = False) -> Iterator[Check]:
     """Yield every check of ``verify all`` in report order.  Each check runs
     when it is reached, so a caller can time it."""
     mc_n = 1_000_000 if deep else 50_000
-    har_n = 100_000 if deep else 20_000
+    slice_n = 100_000 if deep else 20_000
     law_n = 1_000_000 if deep else 200_000
     yield check_ring_axioms(seed)
     yield check_fundamental_theorem(seed + 1)
@@ -420,7 +422,7 @@ def run_all(seed: int = 42, deep: bool = False) -> Iterator[Check]:
     yield check_sampling_core(seed + 8)
     yield check_fixed_spectrum(seed + 9)
     yield check_monte_carlo_global(seed + 10, mc_n)
-    slices = conditioned_slices(seed + 11, har_n)
+    slices = conditioned_slices(seed + 11, slice_n)
     yield check_conditioned_constancy(slices)
-    yield check_halfbound_equivalence(slices[0], har_n)
+    yield check_halfbound_equivalence(slices[0], slice_n)
     yield check_marginal_law(seed + 13, law_n)

@@ -66,16 +66,6 @@ def _positive(kind):
     return parse
 
 
-def _nonnegative(kind):
-    def parse(text: str):
-        value = kind(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-        return value
-
-    return parse
-
-
 def _unit_interval(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < 1.0:
@@ -267,15 +257,12 @@ def cmd_integrate(args) -> int:
 
 def cmd_sample(args) -> int:
     t0 = time.time()
+    config = sp.SamplerConfig(seed=args.seed, count=args.n, tolerance=args.tol)
     if args.what == "sep":
-        config = sp.SamplerConfig(seed=args.seed, count=args.n, tolerance=args.tol)
         est = sp.estimate_sep_prob(config, threads=args.threads)
         _emit(_report("sample sep", est._asdict(), seed=args.seed, t0=t0))
         return 0
-    config = sp.SamplerConfig(
-        seed=args.seed, count=args.n, burn_in=args.burn, thinning=args.thin, tolerance=args.tol
-    )
-    stats = sp.conditioned_ppt_stats(args.a, config, chains=args.chains)
+    stats = sp.conditioned_ppt_stats(args.a, config)
     _emit(_report("sample conditioned", {"a": args.a, "n": args.n, **stats._asdict()}, seed=args.seed, t0=t0))
     return 0
 
@@ -341,10 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sample_sub.add_parser("conditioned", help="fixed-marginal slice fraction")
     q.add_argument("--a", type=_unit_interval, required=True)
     q.add_argument("--n", type=_positive(int), required=True)
-    q.add_argument("--burn", type=_nonnegative(int), default=1000)
-    q.add_argument("--thin", type=_positive(int), default=10)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--chains", type=_positive(int), default=64)
     q.add_argument("--tol", type=_positive(float), default=sp.PPT_TOL)
     q.set_defaults(func=cmd_sample)
 

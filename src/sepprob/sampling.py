@@ -1,7 +1,8 @@
 """Monte Carlo cross-validation lab for two-qubit separability.
 
 Random density matrices under the flat (Hilbert-Schmidt) measure, Haar
-fixed-spectrum orbits, a hit-and-run walk on fixed-marginal slices, the
+fixed-spectrum orbits, exact iid draws on fixed-marginal slices by local
+filtering (with a hit-and-run walk kept as their test reference), the
 positive-partial-transpose test, and the marginal-gap statistic.
 
 Everything stochastic is driven by counter-based Philox streams keyed by
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +50,8 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs shared by the samplers; burn_in and thinning only matter for
-    the hit-and-run walk.
+    """Knobs shared by the samplers; burn_in and thinning are read only by
+    the reference walk ``conditioned_samples``.
 
     ``tolerance`` is the half-width of the indeterminate band around zero for
     the smallest partial-transpose eigenvalue lambda_min: a state counts as
@@ -273,8 +274,9 @@ def is_half_bounded(rho: np.ndarray, tol: float = PPT_TOL) -> bool:
     return float(np.linalg.eigvalsh(rho)[-1]) <= 0.5 + tol
 
 
-def _blocked_map(fn, count: int, seed: int, threads: int, tail_shape) -> np.ndarray:
-    """Run ``fn(rng, size)`` over fixed-size blocks with per-block streams.
+def _blocked_map(fn, count: int, seed: int, threads: int, tail_shape, first_stream: int = 0) -> np.ndarray:
+    """Run ``fn(rng, size)`` over fixed-size blocks, block i on the stream
+    (seed, first_stream + i).
 
     Block boundaries and stream keys depend only on (seed, count), so the
     concatenated output is identical for any thread count.
@@ -283,7 +285,7 @@ def _blocked_map(fn, count: int, seed: int, threads: int, tail_shape) -> np.ndar
 
     def run(block):
         idx, size = block
-        return fn(stream_rng(seed, idx), size)
+        return fn(stream_rng(seed, first_stream + idx), size)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -407,7 +409,8 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
 
 
 # ---------------------------------------------------------------------------
-# Hit-and-run on a fixed-marginal slice.
+# Hit-and-run on a fixed-marginal slice: the reference the slice sampler is
+# tested against; nothing in the package samples with it.
 
 def _conditioned_basis() -> np.ndarray:
     """Orthonormal (HS) basis of the 12 traceless directions that leave the
@@ -420,11 +423,6 @@ def _conditioned_basis() -> np.ndarray:
 _BASIS12 = _conditioned_basis()
 
 
-def conditioned_start(a: float) -> np.ndarray:
-    """Center of the slice: (fixed marginal) tensor (maximally mixed)."""
-    return np.kron((_I2 + a * _SZ) / 2.0, _I2 / 2.0)
-
-
 class _ChainDriver:
     """Vectorized hit-and-run over independent chains, one stream per chain."""
 
@@ -434,7 +432,8 @@ class _ChainDriver:
     def __init__(self, a: float, seed: int, chains: int):
         if not 0.0 <= a < 1.0:
             raise ValueError("Bloch radius must lie in [0, 1)")
-        self.states = np.repeat(conditioned_start(a)[None, :, :], chains, axis=0)
+        # Start at the center of the slice, (fixed marginal) x (maximally mixed).
+        self.states = np.repeat(np.kron((_I2 + a * _SZ) / 2.0, _I2 / 2.0)[None], chains, axis=0)
         self.rngs = [stream_rng(seed, c) for c in range(chains)]
         self.chains = chains
 
@@ -478,25 +477,10 @@ class _ChainDriver:
         self.states = 0.5 * (self.states + self.states.conj().transpose(0, 2, 1))
 
 
-def hit_and_run_conditioned(a: float, config: SamplerConfig) -> Iterator[np.ndarray]:
-    """Single-chain walk over the fixed-marginal slice at Bloch radius ``a``.
-
-    Yields ``config.count`` states, emitting every ``thinning`` steps after
-    ``burn_in`` steps; uniform over the slice in the flat metric.
-    """
-    driver = _ChainDriver(a, config.seed, 1)
-    for _ in range(config.burn_in):
-        driver.step()
-    emitted = 0
-    while emitted < config.count:
-        for _ in range(config.thinning):
-            driver.step()
-        yield driver.states[0].copy()
-        emitted += 1
-
-
 def conditioned_samples(a: float, config: SamplerConfig, chains: int = 64) -> np.ndarray:
-    """Hit-and-run sample batch, merged round-robin across parallel chains.
+    """Hit-and-run sample batch, merged round-robin across parallel chains;
+    uniform over the slice at Bloch radius ``a`` in the flat metric, after
+    ``config.burn_in`` steps and every ``config.thinning`` steps after them.
 
     Each chain has its own stream, so the output depends only on
     (seed, count, burn_in, thinning, chains).
@@ -522,23 +506,53 @@ class ConditionedStats(NamedTuple):
     indeterminate: int
 
 
-def conditioned_ppt_stats(
-    a: float, config: SamplerConfig, chains: int = 64, band: float = 1e-9
-) -> ConditionedStats:
-    """Separability fraction on a fixed-marginal slice, plus the comparison
-    between the partial-transpose test and the max-eigenvalue-1/2 test.
+# Slice draws take the streams (seed, _SLICE_STREAMS + block), out of every
+# other sampler's reach, so they never reuse a flat-measure or orbit draw.
+_SLICE_STREAMS = 1 << 32
+_HALF_BAND = 1e-9  # |lambda_max - 1/2| below this is a tie (band_count)
 
-    Samples whose top eigenvalue sits within ``band`` of 1/2 are excluded
-    from the agreement figure and reported as band_count.
-    """
-    states = conditioned_samples(a, config, chains)
+
+def _slice_block(a: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` iid flat-measure draws on the slice of first marginal
+    sigma = diag((1 + a)/2, (1 - a)/2): G' = (M x I) G in (16, size) layout,
+    whose ``_gram_flat`` is the state (trace one), for Ginibre G and
+    M = sigma^(1/2) W_A^(-1/2), W_A = [[p, q], [q*, s]] the first marginal of
+    G G^dag.  M is fixed on each fiber of fixed W_A and maps it linearly onto
+    the slice, so the draws are exact (Lovas & Andai, J. Phys. A 50, 295303,
+    2017); it keeps every PPT verdict.  For 2x2 positive X, sqrt X =
+    (X + d I) / sqrt(tr X + 2d) with d = sqrt(det X), inverted by adjugate / d."""
+    g = _ginibre(4, rng, size).reshape(size, 16).T.copy()
+    top, bot = g[:8], g[8:]  # rows of G with first-qubit index 0 and 1
+    p = np.einsum("kb,kb->b", top.real, top.real) + np.einsum("kb,kb->b", top.imag, top.imag)
+    s = np.einsum("kb,kb->b", bot.real, bot.real) + np.einsum("kb,kb->b", bot.imag, bot.imag)
+    q = np.einsum("kb,kb->b", top, bot.conj())
+    d = np.sqrt(p * s - (q.real**2 + q.imag**2))
+    scale = 1.0 / (d * np.sqrt(p + s + 2.0 * d))
+    u, v = math.sqrt((1.0 + a) / 2.0) * scale, math.sqrt((1.0 - a) / 2.0) * scale
+    g[:8], g[8:] = (u * (s + d)) * top - (u * q) * bot, (v * (p + d)) * bot - (v * q.conj()) * top
+    return g
+
+
+def conditioned_ppt_stats(a: float, config: SamplerConfig) -> ConditionedStats:
+    """Separability fraction of ``config.count`` iid ``_slice_block`` draws at
+    Bloch radius ``a`` in [0, 1), its binomial stderr, and the agreement of
+    the transpose test with lambda_max <= 1/2 outside the ``_HALF_BAND`` ties
+    (band_count).  The filter keeps every PPT verdict, so one seed gives the
+    same PPT count at every radius by construction."""
+    if not 0.0 <= a < 1.0:
+        raise ValueError("Bloch radius must lie in [0, 1)")
     tol = config.tolerance
-    ppt, indeterminate = _ppt_decide(states, tol)
-    lam_max = np.linalg.eigvalsh(states)[:, -1]
-    halfb = lam_max <= 0.5 + tol
-    in_band = np.abs(lam_max - 0.5) < band
-    outside = ~in_band
-    agree = float(np.mean(ppt[outside] == halfb[outside])) if outside.any() else 1.0
-    frac = float(np.mean(ppt))
-    stderr = float(np.sqrt(frac * (1.0 - frac) / len(states)))
-    return ConditionedStats(frac, stderr, agree, int(in_band.sum()), int(indeterminate.sum()))
+
+    def block_stats(rng, size):
+        wt = _gram_flat(_slice_block(a, rng, size))
+        ppt, indeterminate = _ppt_decide_flat(wt, tol)
+        lam_max = np.linalg.eigvalsh(wt.T.reshape(size, 4, 4))[:, -1]
+        in_band = np.abs(lam_max - 0.5) < _HALF_BAND
+        agree = (ppt == (lam_max <= 0.5 + tol)) & ~in_band
+        return np.array([[np.count_nonzero(m) for m in (ppt, indeterminate, in_band, agree)]])
+
+    counts = _blocked_map(block_stats, config.count, config.seed, 1, (4,), _SLICE_STREAMS).sum(axis=0)
+    ppt, indeterminate, in_band, agree = (int(c) for c in counts)
+    frac, outside = ppt / config.count, config.count - in_band
+    stderr = math.sqrt(frac * (1.0 - frac) / config.count)
+    return ConditionedStats(frac, stderr, agree / outside if outside else 1.0, in_band, indeterminate)

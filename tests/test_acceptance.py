@@ -150,7 +150,7 @@ def test_criterion_8_conditioned_constancy(slices):
     ok = all(d <= 0.01 for d in devs)
     detail = ", ".join(f"a={a}: {stats.fraction:.4f} (dev {d:.4f})"
                        for a, stats, d in zip(checks.SLICE_RADII, slices, devs))
-    criterion(8, ok, f"10^5 walk samples per slice within 0.01 of 8/33: {detail}")
+    criterion(8, ok, f"10^5 iid slice samples per slice within 0.01 of 8/33: {detail}")
 
 
 def test_criterion_9_halfbound_equivalence(slices):

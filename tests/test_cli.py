@@ -1,6 +1,7 @@
 """Command-line contract: verbs, exit codes, JSON shapes, CSV grids."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -190,14 +191,17 @@ class TestSampleVerb:
         assert code == 2 and out == "" and "finite" in err
 
     def test_conditioned_payload(self, capsys):
-        code, rep, _ = run_json(
-            capsys, "sample", "conditioned", "--a", "0.2", "--n", "1000",
-            "--burn", "100", "--thin", "3", "--seed", "4", "--chains", "16",
-        )
+        code, rep, _ = run_json(capsys, "sample", "conditioned", "--a", "0.2", "--n", "1000", "--seed", "4")
         assert code == 0
         res = rep["results"]
         assert res["a"] == 0.2 and res["n"] == 1000
         assert {"fraction", "agreement_halfbound", "band_count"} <= set(res)
+        assert res["stderr"] == math.sqrt(res["fraction"] * (1 - res["fraction"]) / 1000)
+
+    @pytest.mark.parametrize("flag", ["--burn", "--thin", "--chains"])
+    def test_conditioned_has_no_walk_knobs(self, capsys, flag):
+        code, out, _ = run(capsys, "sample", "conditioned", "--a", "0.2", "--n", "100", flag, "10")
+        assert code == 2 and out == ""
 
     def test_conditioned_rejects_radius_one(self, capsys):
         code, _, _ = run(capsys, "sample", "conditioned", "--a", "1.0", "--n", "100")

@@ -1,5 +1,6 @@
-"""Monte Carlo lab tests: samplers, reductions, transpose tests, the
-conditioned walk, and their statistical properties at small scale.
+"""Monte Carlo lab tests: samplers, reductions, transpose tests, the slice
+sampler and its reference walk, and their statistical properties at small
+scale.
 
 Statistical assertions run at fixed seeds, so they are deterministic; the
 thresholds were set with slack against reasonable seed changes.
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from sepprob import sampling as sp
-from sepprob.checks import gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
+from sepprob.checks import conditioned_slices, gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
 from sepprob.dh_density import marginal_support, moment_polytope
+from sepprob.sep_integral import conditioned_volume, separable_slice_volume
 from sepprob.volumes import Spectrum
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -384,11 +386,13 @@ class TestMarginalGap:
 
 
 class TestConditionedWalk:
+    """The hit-and-run walk, kept as the reference for the slice sampler."""
+
     def test_marginal_fixed_along_stream(self):
         a = 0.2
         target = (np.eye(2) + a * np.diag([1, -1])) / 2
-        gen = sp.hit_and_run_conditioned(a, sp.SamplerConfig(seed=25, count=20, burn_in=100, thinning=5))
-        for rho in gen:
+        cfg = sp.SamplerConfig(seed=25, count=20, burn_in=100, thinning=5)
+        for rho in sp.conditioned_samples(a, cfg, chains=1):
             assert sp.is_valid_density_matrix(rho)
             assert np.max(np.abs(sp.partial_trace(rho, 1) - target)) < 1e-10
 
@@ -412,23 +416,117 @@ class TestConditionedWalk:
         with pytest.raises(ValueError):
             sp.conditioned_samples(1.0, sp.SamplerConfig(seed=1, count=10))
 
+
+def slice_states(a: float, seed: int, count: int) -> np.ndarray:
+    """``count`` slice-sampler states at radius ``a`` as (count, 4, 4)."""
+    return sp._gram_flat(sp._slice_block(a, sp.stream_rng(seed), count)).T.reshape(count, 4, 4)
+
+
+def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance sup |F_x - F_y|."""
+    x, y = np.sort(x), np.sort(y)
+    grid = np.concatenate([x, y])
+    fx = np.searchsorted(x, grid, side="right") / len(x)
+    fy = np.searchsorted(y, grid, side="right") / len(y)
+    return float(np.max(np.abs(fx - fy)))
+
+
+class TestSliceSampler:
+    @pytest.mark.parametrize("a", [0.0, 0.4, 0.9])
+    def test_marginal_is_exact(self, a):
+        states = slice_states(a, 50, 20_000)
+        red = np.einsum("bijkj->bik", states.reshape(-1, 2, 2, 2, 2))
+        assert np.max(np.abs(red - np.diag([(1 + a) / 2, (1 - a) / 2]))) < 1e-12
+
+    @pytest.mark.parametrize("a", [0.0, 0.4, 0.9])
+    def test_psd_with_unit_trace(self, a):
+        states = slice_states(a, 51, 20_000)
+        assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) == 0.0
+        assert np.max(np.abs(np.einsum("bii->b", states) - 1.0)) < 1e-12
+        assert np.linalg.eigvalsh(states)[:, 0].min() >= -1e-12
+
+    def test_deterministic(self):
+        assert np.array_equal(slice_states(0.3, 52, 5000), slice_states(0.3, 52, 5000))
+        config = sp.SamplerConfig(seed=52, count=40_000)
+        assert sp.conditioned_ppt_stats(0.3, config) == sp.conditioned_ppt_stats(0.3, config)
+
+    @pytest.mark.parametrize("a", [0.0, 0.4, 0.9])
+    def test_ppt_verdict_kept_sample_by_sample(self, a):
+        # The same draws, filtered and not: the filter is an invertible local
+        # operation, so no sample may change its PPT verdict.
+        n = 50_000
+        raw = sp._ginibre(4, sp.stream_rng(53), n).reshape(n, 16).T.copy()
+        filtered = sp._slice_block(a, sp.stream_rng(53), n)
+        before = sp._ppt_decide_flat(sp._gram_flat(raw), sp.PPT_TOL)[0]
+        after = sp._ppt_decide_flat(sp._gram_flat(filtered), sp.PPT_TOL)[0]
+        assert np.array_equal(before, after) and 0 < before.sum() < n
+
+    @pytest.mark.parametrize("a", [1.0, -0.1])
+    def test_rejects_radius_outside_unit_interval(self, a):
+        with pytest.raises(ValueError):
+            sp.conditioned_ppt_stats(a, sp.SamplerConfig(seed=1, count=10))
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_streams_apart_from_estimator(self, seed):
+        # PPT survives the filter, so a slice run on the estimator's streams
+        # would recount its draws exactly.
+        config = sp.SamplerConfig(seed=seed, count=4096)
+        assert sp.conditioned_ppt_stats(0.0, config).fraction != sp.estimate_sep_prob(config).fraction
+
+    def test_each_checked_slice_has_its_own_draws(self):
+        fractions = [stats.fraction for stats in conditioned_slices(55, 4096)]
+        assert len(set(fractions)) == len(fractions)
+
     def test_zero_radius_test_equivalence(self):
-        stats = sp.conditioned_ppt_stats(0.0, sp.SamplerConfig(seed=28, count=20_000, burn_in=500))
+        stats = sp.conditioned_ppt_stats(0.0, sp.SamplerConfig(seed=28, count=20_000))
         assert stats.agreement_halfbound == 1.0
 
     def test_small_radius_agreement_degrades_gracefully(self):
-        near = sp.conditioned_ppt_stats(0.002, sp.SamplerConfig(seed=13, count=20_000, burn_in=500))
-        far = sp.conditioned_ppt_stats(0.02, sp.SamplerConfig(seed=13, count=20_000, burn_in=500))
+        near = sp.conditioned_ppt_stats(0.002, sp.SamplerConfig(seed=13, count=20_000))
+        far = sp.conditioned_ppt_stats(0.02, sp.SamplerConfig(seed=13, count=20_000))
         assert near.agreement_halfbound >= 0.995
         assert far.agreement_halfbound <= near.agreement_halfbound
 
-    def test_fraction_roughly_constant_small_scale(self):
-        fracs = []
-        for a in (0.0, 0.2, 0.4):
-            stats = sp.conditioned_ppt_stats(a, sp.SamplerConfig(seed=30, count=20_000, burn_in=500))
-            fracs.append(stats.fraction)
-        for f in fracs:
-            assert abs(f - 8 / 33) < 0.02
+    @pytest.mark.parametrize("a, seed", [(F(1, 10), 56), (F(1, 5), 57), (F(3, 10), 58)], ids=str)
+    def test_half_bounded_fraction_is_exact_ratio(self, a, seed):
+        # lambda_max <= 1/2 on the slice has the exact share f(a) / V(a).
+        n = 1 << 17
+        lam_max = np.linalg.eigvalsh(slice_states(float(a), seed, n))[:, -1]
+        want = (separable_slice_volume(a) / conditioned_volume(a)).to_float()
+        sigma = np.sqrt(want * (1 - want) / n)
+        assert abs(np.mean(lam_max <= 0.5) - want) < 4 * sigma
+
+    @pytest.mark.parametrize("a", [0.0, 0.4])
+    def test_matches_walk_in_distribution(self, a):
+        # Two-sample KS on lambda_max and on lambda_min(rho^Gamma): 2048 walk
+        # states thinned by 50 against 2^15 slice states.  1.95 is the
+        # asymptotic KS quantile at p ~ 0.001; slice states at radius 0.5
+        # read 5.9 against the walk at 0.4.
+        config = sp.SamplerConfig(seed=60, count=2048, burn_in=1000, thinning=50)
+        walk = sp.conditioned_samples(a, config, chains=64)
+        draws = slice_states(a, 61, 1 << 15)
+        scale = np.sqrt(len(walk) * len(draws) / (len(walk) + len(draws)))
+        for stat in (lambda s: np.linalg.eigvalsh(s)[:, -1], sp.ppt_min_eigs):
+            assert scale * ks_statistic(stat(walk), stat(draws)) < 1.95
+
+
+def test_ppt_fraction_constant_across_marginal_radius():
+    """8/33 on every slice, without the filter: 2^20 flat-measure draws binned
+    by the Bloch radius of their first marginal."""
+    p = 8 / 33
+
+    def block(rng, size):
+        wt = sp._gram_flat(sp._ginibre(4, rng, size).reshape(size, 16).T.copy())
+        ppt = sp._ppt_decide_flat(wt, sp.PPT_TOL)[0]
+        w = wt.T.reshape(size, 4, 4)
+        radius = sp._marginal_gaps_block(w / np.einsum("bii->b", w).real[:, None, None])
+        return np.stack([ppt, radius], axis=1)
+
+    ppt, radius = sp._blocked_map(block, 1 << 20, 62, 1, (2,)).T
+    bins = np.digitize(radius, [0.2, 0.4, 0.6])
+    for b in range(4):
+        inside = ppt[bins == b]
+        assert abs(inside.mean() - p) < 4 * np.sqrt(p * (1 - p) / len(inside)), b
 
 
 class TestConfigValidation:
