@@ -31,8 +31,8 @@ _DET_FLOOR = 1e-12
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32768
 # Samples per cache-sized pass inside a block (the estimator's Gram and
-# determinant, the orbit sampler's Gram-Schmidt): one (_CHUNK,) complex
-# operand is 64 KB, so the passes over it stay in L2.
+# determinant; the orbit sampler's draw, Gram-Schmidt and gaps): one
+# (_CHUNK,) complex operand is 64 KB, so the passes over it stay in L2.
 _CHUNK = 4096
 
 _I2 = np.eye(2, dtype=complex)
@@ -135,26 +135,27 @@ def _haar_block(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _orthonormal_columns(g: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormalised first ``k`` columns of each matrix of a batch, shape
-    (batch, row, k), by classical Gram-Schmidt with one re-orthogonalisation
-    pass (CGS2).
+    """First ``k`` columns of each matrix of a batch orthonormalised by
+    ``_cgs2``, shape (batch, row, k): a view of a (column, row, batch) copy."""
+    return _cgs2(g.T[:k].copy()).T
+
+
+def _cgs2(cols: np.ndarray) -> np.ndarray:
+    """Orthonormalise, in place, the columns of a (k, row, batch) complex
+    array by classical Gram-Schmidt with one re-orthogonalisation pass.
 
     Each column is projected off the earlier ones twice, since "twice is
     enough": the second pass removes what rounding left of the first, so
-    Q^dag Q = I to a few ulps even for nearly parallel columns.  The work
-    runs on a (column, row, batch) copy, so every step is one contiguous
-    array operation over whatever batch it is given; the result is a view
-    of it.
+    Q^dag Q = I to a few ulps even for nearly parallel columns.
     """
-    cols = g.T[:k].copy()
-    for j in range(k):
+    for j in range(len(cols)):
         v = cols[j]
         for _ in range(2 if j else 0):
             coef = [np.sum(cols[m].conj() * v, axis=0) for m in range(j)]
             for m in range(j):
                 v -= cols[m] * coef[m]
         v /= np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0))
-    return cols.T
+    return cols
 
 
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
@@ -376,17 +377,15 @@ def _marginal_gaps_block(states: np.ndarray) -> np.ndarray:
 def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, threads: int = 1) -> np.ndarray:
     """Marginal gaps of ``count`` fixed-spectrum orbit samples.
 
-    Draws the same Haar unitaries U as ``_fixed_spectrum_block`` but never
-    builds rho = U diag(lambda) U^dag.  The columns u_m of U satisfy
-    sum_m u_m u_m^dag = I and Tr_2 I = 2 I, so the first reduced state is
-    2 lambda_4 I + sum_{m<4} (lambda_m - lambda_4) Tr_2 |u_m><u_m|.  The gap
-    ignores the multiple of I, so the first three Gram-Schmidt columns
-    suffice.
-
-    Each block's Ginibre draw is orthonormalised and reduced in chunks of
-    ``_CHUNK`` samples, so the Gram-Schmidt working copy (3 columns x 4 rows x
-    chunk) stays in cache.  The block's draw and stream are unchanged by the
-    chunking.
+    Never builds rho = U diag(lambda) U^dag.  The columns u_m of a Haar U
+    satisfy sum_m u_m u_m^dag = I and Tr_2 I = 2 I, so the first reduced
+    state is 2 lambda_4 I + sum_{m<4} (lambda_m - lambda_4) Tr_2 |u_m><u_m|.
+    The gap ignores the multiple of I, so only u_1..u_3 are drawn: the
+    Gram-Schmidt columns of a 4x3 complex Gaussian (Mezzadri, Notices AMS
+    54, 592, 2007).  Each block reads its stream one chunk of m <= ``_CHUNK``
+    samples at a time, as standard_normal((2, 3, 4, m)): real then imaginary
+    plane, each already in ``_cgs2``'s (column, row, sample) layout, and
+    unscaled, since Gram-Schmidt ignores the scale.
     """
     lam = np.asarray([float(x) for x in spectrum])
     if lam.shape != (4,):
@@ -394,10 +393,11 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
     w = lam[:3] - lam[3]
 
     def block(rng, size):
-        g = _ginibre(4, rng, size)
         out = np.empty(size)
         for s in range(0, size, _CHUNK):
-            u = _orthonormal_columns(g[s : s + _CHUNK], 3).T  # (column, row, chunk)
+            u = np.empty((3, 4, min(_CHUNK, size - s)), dtype=complex)  # (column, row, chunk)
+            u.real, u.imag = rng.standard_normal((2, *u.shape))
+            _cgs2(u)
             p = u.real**2 + u.imag**2
             # Tr_2 |u><u| = [[|u0|^2 + |u1|^2, u0 u2* + u1 u3*], [., |u2|^2 + |u3|^2]].
             half_diff = 0.5 * (w @ (p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]))

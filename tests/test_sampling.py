@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from sepprob import sampling as sp
-from sepprob.checks import conditioned_slices, gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
-from sepprob.dh_density import marginal_support, moment_polytope
+from sepprob.checks import SPEC_45, conditioned_slices, gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
+from sepprob.dh_density import marginal_gap_density, marginal_support, moment_polytope
 from sepprob.sep_integral import conditioned_volume, separable_slice_volume
 from sepprob.volumes import Spectrum
 
@@ -292,6 +292,39 @@ class TestSepEstimator:
         assert fracs[2] > 0.9
 
 
+def qr_orbit_gaps(lam, count: int, seed: int) -> np.ndarray:
+    """The gaps ``fixed_spectrum_gaps`` should return, rebuilt from the same
+    draws by another route: each block's stream read one chunk at a time as
+    standard_normal((2, 3, 4, m)) (real plane, imaginary plane; axes column,
+    row, sample), each 4x3 matrix orthonormalised by ``phase_fixed_qr``, and
+    the gap read off the full state
+    rho = sum_m (lam_m - lam_4) |q_m><q_m| + lam_4 I."""
+    lam = np.asarray(lam, dtype=float)
+    gaps = []
+    for block, start in enumerate(range(0, count, sp._BLOCK)):
+        rng, size = sp.stream_rng(seed, block), min(sp._BLOCK, count - start)
+        for s in range(0, size, sp._CHUNK):
+            x = rng.standard_normal((2, 3, 4, min(sp._CHUNK, size - s)))
+            q = phase_fixed_qr((x[0] + 1j * x[1]).transpose(2, 1, 0))  # (sample, row, column)
+            rho = np.einsum("bim,m,bjm->bij", q, lam[:3] - lam[3], q.conj()) + lam[3] * np.eye(4)
+            gaps.append(sp._marginal_gaps_block(rho))
+    return np.concatenate(gaps)
+
+
+def float_cdf(density, x: np.ndarray) -> np.ndarray:
+    """``density.cdf`` at the points ``x`` in [0, b3], in floats: the exact
+    mass below each piece's left breakpoint plus the piece's antiderivative
+    from there, one vectorised polynomial per piece."""
+    grid = density.breakpoints
+    below = density.cdf(grid)
+    piece = np.searchsorted([float(b) for b in grid[1:-1]], x, side="right")
+    out = np.empty_like(x)
+    for i, poly in enumerate(density.pieces):
+        anti, sel = poly.antiderivative(0), piece == i
+        out[sel] = float(below[i] - anti.evaluate([grid[i]])) + anti.evaluate_float([x[sel]])
+    return out
+
+
 class TestFixedSpectrum:
     LAM = [0.45, 0.27, 0.18, 0.10]
 
@@ -313,10 +346,8 @@ class TestFixedSpectrum:
         "lam", [LAM, [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.25] * 4]
     )
     def test_three_column_gaps_match_states(self, lam):
-        # One block, so fixed_spectrum_gaps reads stream (seed, 0) as below.
         gaps = sp.fixed_spectrum_gaps(lam, 20_000, seed=25)
-        states = sp._fixed_spectrum_block(np.array(lam), sp.stream_rng(25, 0), 20_000)
-        assert np.max(np.abs(gaps - sp._marginal_gaps_block(states))) < 1e-12
+        assert np.max(np.abs(gaps - qr_orbit_gaps(lam, 20_000, seed=25))) < 1e-12
         if lam == [0.25] * 4:
             assert not gaps.any()
 
@@ -330,20 +361,31 @@ class TestFixedSpectrum:
     @pytest.mark.parametrize("count", [1, sp._CHUNK - 1, sp._CHUNK + 1, sp._BLOCK + sp._CHUNK + 1])
     def test_chunked_gaps_match_states_block_by_block(self, count):
         gaps = sp.fixed_spectrum_gaps(self.LAM, count, seed=28)
-        ref = []
-        for i, start in enumerate(range(0, count, sp._BLOCK)):
-            size = min(sp._BLOCK, count - start)
-            states = sp._fixed_spectrum_block(np.array(self.LAM), sp.stream_rng(28, i), size)
-            ref.append(sp._marginal_gaps_block(states))
-        ref = np.concatenate(ref)
         assert gaps.shape == (count,)
-        assert np.max(np.abs(gaps - ref)) < 1e-12
+        assert np.max(np.abs(gaps - qr_orbit_gaps(self.LAM, count, seed=28))) < 1e-12
 
     def test_chunked_gaps_independent_of_thread_count(self):
         count = sp._BLOCK + sp._CHUNK + 1
         a = sp.fixed_spectrum_gaps(self.LAM, count, seed=29, threads=1)
         b = sp.fixed_spectrum_gaps(self.LAM, count, seed=29, threads=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_gap_law_matches_exact_cdf(self, seed):
+        # Kolmogorov-Smirnov against dh_density's exact law, sharing no draw
+        # with it: under the law P(sqrt(n) D >= 1.95) -> 2 exp(-2 * 1.95^2),
+        # about 0.1 %.
+        n = 1 << 18
+        density = marginal_gap_density(SPEC_45)
+        lam = [float(x + F(1, 4)) for x in SPEC_45.entries]
+        x = np.sort(sp.fixed_spectrum_gaps(lam, n, seed))
+        mass = density.integral()
+        cdf = float_cdf(density, x) / float(mass)
+        exact = [float(c / mass) for c in density.cdf(x[:: n // 64].tolist())]
+        assert np.max(np.abs(cdf[:: n // 64] - exact)) < 1e-12
+        rank = np.arange(1, n + 1) / n
+        d = max(np.max(rank - cdf), np.max(cdf - (rank - 1.0 / n)))
+        assert np.sqrt(n) * d < 1.95
 
     def test_histogram_keeps_every_sample(self):
         # np.histogram drops values outside [0, b3]; a non-unitary U would
