@@ -150,6 +150,8 @@ def _density_grid_csv(closed, k: int) -> None:
 
 def cmd_marginal(args) -> int:
     t0 = time.time()
+    if args.csv and not args.samples:
+        raise ValueError("--csv needs --samples: it formats the sampled histogram")
     spectrum = _parse_spectrum(args.spectrum)
     if not spectrum.is_simple:
         # The gap law is the Duistermaat-Heckman density of a regular orbit.
@@ -293,11 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_volumes)
 
     p = sub.add_parser("density", help="planar chamber density and its oracles")
-    p.add_argument("--check-oracle", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--check-oracle", action="store_true")
+    mode.add_argument("--grid", type=_positive(int), default=0, help="emit a CSV grid of this size")
     p.add_argument("--points", type=_positive(int), default=100, help="points per chamber")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_positive(float), default=1e-9)
-    p.add_argument("--grid", type=_positive(int), default=0, help="emit a CSV grid of this size")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("marginal", help="marginal-gap density for a fixed spectrum")
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_positive(int), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_positive(int), default=1)
-    p.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true", help="emit the --samples histogram as CSV")
     p.set_defaults(func=cmd_marginal)
 
     p = sub.add_parser("integrate", help="exact pipeline outputs")

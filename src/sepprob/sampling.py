@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,11 +90,10 @@ def is_valid_density_matrix(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
     return float(np.linalg.eigvalsh(rho)[0]) >= -tol
 
 
-def _ginibre(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    shape = (n, n) if size is None else (size, n, n)
-    g = np.empty(shape, dtype=complex)
-    g.real = rng.standard_normal(shape)
-    g.imag = rng.standard_normal(shape)
+def _ginibre(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    g = np.empty((size, n, n), dtype=complex)
+    g.real = rng.standard_normal(g.shape)
+    g.imag = rng.standard_normal(g.shape)
     # Complex / real division multiplies by the reciprocal, so scaling the
     # float view gives the same bits as (a + 1j*b) / sqrt(2).
     g.view(float)[...] *= 1.0 / np.sqrt(2.0)
@@ -121,25 +120,6 @@ def hs_random_states(n: int, count: int, seed: int, threads: int = 1) -> np.ndar
     )
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: the Gram-Schmidt orthonormalisation of the
-    columns of a Ginibre matrix (see ``_haar_block``)."""
-    return _haar_block(n, rng, 1)[0]
-
-
-def _haar_block(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Batch of Haar unitaries.  Gram-Schmidt leaves G = QR with a positive
-    diagonal in R, the one factorization whose Q is Haar-distributed (the
-    phase-fixed QR)."""
-    return _orthonormal_columns(_ginibre(n, rng, size), n)
-
-
-def _orthonormal_columns(g: np.ndarray, k: int) -> np.ndarray:
-    """First ``k`` columns of each matrix of a batch orthonormalised by
-    ``_cgs2``, shape (batch, row, k): a view of a (column, row, batch) copy."""
-    return _cgs2(g.T[:k].copy()).T
-
-
 def _cgs2(cols: np.ndarray) -> np.ndarray:
     """Orthonormalise, in place, the columns of a (k, row, batch) complex
     array by classical Gram-Schmidt with one re-orthogonalisation pass.
@@ -158,18 +138,6 @@ def _cgs2(cols: np.ndarray) -> np.ndarray:
     return cols
 
 
-def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Reduce a two-qubit state to the kept subsystem (1 or 2)."""
-    if rho.shape != (4, 4):
-        raise ValueError("partial trace expects a 4x4 two-qubit state")
-    r = rho.reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.einsum("ijkj->ik", r)
-    if keep == 2:
-        return np.einsum("ijil->jl", r)
-    raise ValueError("keep must be 1 or 2")
-
-
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """Partial transpose of a two-qubit state (an involution; output is
     Hermitian, possibly indefinite)."""
@@ -178,21 +146,21 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return _pt_block(rho[None])[0]
 
 
-def _pt_block(states: np.ndarray) -> np.ndarray:
-    n = states.shape[0]
-    return states.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
-
-
-def ppt_min_eigs(states: np.ndarray) -> np.ndarray:
-    """Smallest partial-transpose eigenvalue for a batch of states."""
-    return np.linalg.eigvalsh(_pt_block(states))[:, 0]
-
-
 # Partial transpose on the second qubit as a flat index map:
 # rho^Gamma[2i+j, 2k+l] = rho[2i+l, 2k+j].
 _PT_FLAT = np.array(
     [4 * (2 * i + l) + 2 * k + j for i in (0, 1) for j in (0, 1) for k in (0, 1) for l in (0, 1)]
 )
+
+
+def _pt_block(states: np.ndarray) -> np.ndarray:
+    n = states.shape[0]
+    return states.reshape(n, 16)[:, _PT_FLAT].reshape(n, 4, 4)
+
+
+def ppt_min_eigs(states: np.ndarray) -> np.ndarray:
+    """Smallest partial-transpose eigenvalue for a batch of states."""
+    return np.linalg.eigvalsh(_pt_block(states))[:, 0]
 
 
 def _gram_flat(gt: np.ndarray) -> np.ndarray:
@@ -270,11 +238,6 @@ def is_ppt(rho: np.ndarray, tol: float = PPT_TOL) -> bool:
     return bool(_ppt_decide(rho[None], tol)[0][0])
 
 
-def is_half_bounded(rho: np.ndarray, tol: float = PPT_TOL) -> bool:
-    """Whether no eigenvalue exceeds 1/2 (up to ``tol``)."""
-    return float(np.linalg.eigvalsh(rho)[-1]) <= 0.5 + tol
-
-
 def _blocked_map(fn, count: int, seed: int, threads: int, tail_shape, first_stream: int = 0) -> np.ndarray:
     """Run ``fn(rng, size)`` over fixed-size blocks, block i on the stream
     (seed, first_stream + i).
@@ -344,26 +307,39 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
     return SepEstimate(config.count, ppt, frac, stderr, band)
 
 
+def _two_qubit_spectrum(spectrum: Sequence[float]) -> np.ndarray:
+    lam = np.asarray([float(x) for x in spectrum])
+    if lam.shape != (4,):
+        raise ValueError("a fixed-spectrum orbit needs a two-qubit spectrum of 4 entries")
+    return lam
+
+
+def _orbit_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The one orbit draw: the first three columns u_1..u_3 of ``size`` Haar
+    unitaries, as (start, u) per chunk of m <= ``_CHUNK`` samples, u of shape
+    (3, 4, m) (column, row, sample).  A chunk reads ``rng`` as
+    standard_normal((2, 3, 4, m)), real then imaginary plane, unscaled: the
+    Gram-Schmidt columns of a complex Gaussian are Haar (Mezzadri, Notices
+    AMS 54, 592, 2007), and a two-qubit orbit needs only three of them."""
+    for s in range(0, size, _CHUNK):
+        u = np.empty((3, 4, min(_CHUNK, size - s)), dtype=complex)
+        u.real, u.imag = rng.standard_normal((2, *u.shape))
+        yield s, _cgs2(u)
+
+
 def sample_fixed_spectrum(spectrum: Sequence[float], rng: np.random.Generator) -> np.ndarray:
     """One state with the given spectrum, uniformly over the unitary orbit."""
-    return _fixed_spectrum_block(np.asarray([float(x) for x in spectrum]), rng, 1)[0]
+    return _fixed_spectrum_block(_two_qubit_spectrum(spectrum), rng, 1)[0]
 
 
 def _fixed_spectrum_block(lam: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    u = _haar_block(len(lam), rng, size)
-    return (u * lam) @ u.conj().transpose(0, 2, 1)
-
-
-def marginal_gap(rho: np.ndarray) -> float:
-    """Spread of the first reduced state: for a trace-one state, 1 - 2 * (its
-    smallest eigenvalue).
-
-    Equals the eigenvalue gap of the traceless part of the marginal; always
-    in [0, 1].
-    """
-    if rho.shape != (4, 4):
-        raise ValueError("marginal gap expects a 4x4 two-qubit state")
-    return float(_marginal_gaps_block(rho[None])[0])
+    """``size`` orbit states sum_{m<4} (lam_m - lam_4) |u_m><u_m| + lam_4 I
+    from the ``_orbit_chunks`` draw that ``fixed_spectrum_gaps`` reads."""
+    rho = np.empty((size, 4, 4), dtype=complex)
+    for s, u in _orbit_chunks(rng, size):
+        rho[s : s + _CHUNK] = np.einsum("mib,m,mjb->bij", u, lam[:3] - lam[3], u.conj())
+    rho[:, range(4), range(4)] += lam[3]
+    return rho
 
 
 def _marginal_gaps_block(states: np.ndarray) -> np.ndarray:
@@ -377,32 +353,23 @@ def _marginal_gaps_block(states: np.ndarray) -> np.ndarray:
 def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, threads: int = 1) -> np.ndarray:
     """Marginal gaps of ``count`` fixed-spectrum orbit samples.
 
-    Never builds rho = U diag(lambda) U^dag.  The columns u_m of a Haar U
-    satisfy sum_m u_m u_m^dag = I and Tr_2 I = 2 I, so the first reduced
-    state is 2 lambda_4 I + sum_{m<4} (lambda_m - lambda_4) Tr_2 |u_m><u_m|.
-    The gap ignores the multiple of I, so only u_1..u_3 are drawn: the
-    Gram-Schmidt columns of a 4x3 complex Gaussian (Mezzadri, Notices AMS
-    54, 592, 2007).  Each block reads its stream one chunk of m <= ``_CHUNK``
-    samples at a time, as standard_normal((2, 3, 4, m)): real then imaginary
-    plane, each already in ``_cgs2``'s (column, row, sample) layout, and
-    unscaled, since Gram-Schmidt ignores the scale.
+    Never builds rho.  sum_m u_m u_m^dag = I and Tr_2 I = 2 I, so the first
+    reduced state is 2 lambda_4 I + sum_{m<4} (lambda_m - lambda_4) Tr_2
+    |u_m><u_m|, and the gap, which ignores the multiple of I, reads only the
+    ``_orbit_chunks`` columns u_1..u_3.
     """
-    lam = np.asarray([float(x) for x in spectrum])
-    if lam.shape != (4,):
-        raise ValueError("fixed_spectrum_gaps expects a two-qubit spectrum of 4 entries")
+    lam = _two_qubit_spectrum(spectrum)
     w = lam[:3] - lam[3]
 
     def block(rng, size):
         out = np.empty(size)
-        for s in range(0, size, _CHUNK):
-            u = np.empty((3, 4, min(_CHUNK, size - s)), dtype=complex)  # (column, row, chunk)
-            u.real, u.imag = rng.standard_normal((2, *u.shape))
-            _cgs2(u)
+        for s, u in _orbit_chunks(rng, size):
             p = u.real**2 + u.imag**2
             # Tr_2 |u><u| = [[|u0|^2 + |u1|^2, u0 u2* + u1 u3*], [., |u2|^2 + |u3|^2]].
             half_diff = 0.5 * (w @ (p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]))
             off = w @ (u[:, 0] * u[:, 2].conj() + u[:, 1] * u[:, 3].conj())
             out[s : s + _CHUNK] = 2.0 * np.sqrt(half_diff**2 + np.abs(off) ** 2)
+            del u  # else this chunk stays alive while the next one is drawn
         return out
 
     return _blocked_map(block, count, seed, threads, ())

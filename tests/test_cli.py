@@ -89,6 +89,14 @@ class TestDensityVerb:
         assert len(lines) == 1 + 400
         assert any(",C2," in line for line in lines[1:])
 
+    @pytest.mark.parametrize("order", [("--grid", "2", "--check-oracle"), ("--check-oracle", "--grid", "2")])
+    def test_rejects_grid_with_check_oracle(self, capsys, order):
+        # Either order: the grid must not quietly stand in for the oracle check.
+        code, out, err = run(capsys, "density", *order)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
 
 class TestMarginalVerb:
     SPEC = "0.45,0.27,0.18,0.10"
@@ -166,6 +174,13 @@ class TestMarginalVerb:
         assert code == 2
         assert out == ""
         assert "not allowed with" in err
+
+    @pytest.mark.parametrize("form", [(), ("--grid", "5")])
+    def test_rejects_csv_without_samples(self, capsys, form):
+        code, out, err = run(capsys, "marginal", "--spectrum", self.SPEC, "--csv", *form)
+        assert code == 2
+        assert out == ""
+        assert "--csv needs --samples" in err
 
 
 class TestSampleVerb:

@@ -3,7 +3,10 @@
 `golden/integrate.json` holds the `results` of `integrate --emit` for each of
 M1, M2, M3, f and prob; `golden/density_oracle.json` the `results` of
 `density --check-oracle --points 25 --seed 7`; `golden/verify_all.json` the
-ordered check names and pass flags of `verify all --seed 42`.  Regenerate an
+ordered check names and pass flags of `verify all --seed 42`;
+`golden/sample.json` the `results` of `sample sep` (seeds 3, 5, 7, 11 and 77
+at 1 and 2 threads, and two wide tolerance bands) and `sample conditioned`
+(a = 0.2 and 0.9), the estimators' bit-level pins.  Regenerate an
 entry only for a deliberate change of output, and name the entry and the
 reason in CHANGES.md.
 """
@@ -28,6 +31,15 @@ def test_integrate_matches_golden(name, capsys):
 
 def test_golden_covers_every_emit():
     assert sorted(GOLDEN["entries"]) == ["M1", "M2", "M3", "f", "prob"]
+
+
+SAMPLE = json.loads((GOLDEN_DIR / "sample.json").read_text())["entries"]
+
+
+@pytest.mark.parametrize("entry", SAMPLE, ids=["-".join(a.lstrip("-") for a in e["argv"][1:]) for e in SAMPLE])
+def test_sample_matches_golden(entry, capsys):
+    assert main(list(entry["argv"])) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == entry["results"]
 
 
 def test_density_oracle_matches_golden(capsys):

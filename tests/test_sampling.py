@@ -1,6 +1,6 @@
-"""Monte Carlo lab tests: samplers, reductions, transpose tests, the slice
-sampler and its reference walk, and their statistical properties at small
-scale.
+"""Monte Carlo lab tests: samplers, the orbit draw, transpose tests, the
+slice sampler and its reference walk, and their statistical properties at
+small scale.
 
 Statistical assertions run at fixed seeds, so they are deterministic; the
 thresholds were set with slack against reasonable seed changes.
@@ -60,65 +60,59 @@ class TestFlatMeasureSampler:
         assert np.array_equal(a, b)
 
 
-class TestHaarUnitary:
-    def test_unitarity(self):
-        u = sp.haar_unitary(4, sp.stream_rng(3))
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+def qr_orbit_columns(rng, size: int):
+    """The ``_orbit_chunks`` draw read another way: each chunk's
+    standard_normal((2, 3, 4, m)) (real plane, imaginary plane; axes column,
+    row, sample) as m 4x3 matrices, orthonormalised by ``phase_fixed_qr``,
+    shape (sample, row, column)."""
+    for s in range(0, size, sp._CHUNK):
+        x = rng.standard_normal((2, 3, 4, min(sp._CHUNK, size - s)))
+        yield phase_fixed_qr((x[0] + 1j * x[1]).transpose(2, 1, 0))
 
-    def test_determinant_modulus(self):
-        u = sp.haar_unitary(5, sp.stream_rng(4))
-        assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
+
+def orbit_columns(rng, size: int) -> np.ndarray:
+    """All ``_orbit_chunks`` columns of one stream, shape (3, 4, size)."""
+    return np.concatenate([u for _, u in sp._orbit_chunks(rng, size)], axis=2)
+
+
+class TestHaarUnitary:
+    """The first three columns of a Haar unitary, as ``_orbit_chunks`` draws
+    them."""
+
+    def test_unitarity(self):
+        u = orbit_columns(sp.stream_rng(3), 2 * sp._CHUNK + 5)
+        gram = np.einsum("mib,nib->bmn", u.conj(), u)
+        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
     def test_first_column_dirichlet_moments(self):
-        us = sp._haar_block(4, sp.stream_rng(3, 0), 100_000)
-        m2 = np.abs(us[:, :, 0]) ** 2
+        m2 = np.abs(orbit_columns(sp.stream_rng(3, 0), 100_000)[0]) ** 2
         # |u_i|^2 of a uniform column is Dirichlet(1,1,1,1): mean 1/4,
         # second moment 2/(4*5) = 1/10; 3 sigma at this sample size.
-        assert np.max(np.abs(m2.mean(axis=0) - 0.25)) < 3 * np.sqrt(3 / 80 / 100_000)
-        assert np.max(np.abs((m2**2).mean(axis=0) - 0.1)) < 2e-3
+        assert np.max(np.abs(m2.mean(axis=1) - 0.25)) < 3 * np.sqrt(3 / 80 / 100_000)
+        assert np.max(np.abs((m2**2).mean(axis=1) - 0.1)) < 2e-3
 
     def test_conjugation_invariance(self):
         lam = np.array([0.45, 0.27, 0.18, 0.10])
-        u = sp.haar_unitary(4, sp.stream_rng(8))
-        w = np.linalg.eigvalsh((u * lam) @ u.conj().T)[::-1]
+        states = sp._fixed_spectrum_block(lam, sp.stream_rng(8), sp._CHUNK + 1)
+        w = np.linalg.eigvalsh(states)[:, ::-1]
         assert np.max(np.abs(w - lam)) < 1e-10
 
 
 class TestGramSchmidtCore:
-    @pytest.mark.parametrize("n, count", [(4, 100_000), (5, 5000)])
-    def test_matches_phase_fixed_qr(self, n, count):
-        u = sp._haar_block(n, sp.stream_rng(31, n), count)
-        oracle = phase_fixed_qr(sp._ginibre(n, sp.stream_rng(31, n), count))
+    @pytest.mark.parametrize("stream, count", [(4, 100_000), (5, 5000)])
+    def test_matches_phase_fixed_qr(self, stream, count):
+        u = orbit_columns(sp.stream_rng(31, stream), count).transpose(2, 1, 0)
+        oracle = np.concatenate(list(qr_orbit_columns(sp.stream_rng(31, stream), count)))
         assert np.max(np.abs(u - oracle)) < 1e-10
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-10])
     def test_unitary_for_nearly_parallel_columns(self, eps):
         rng = sp.stream_rng(32)
-        g = sp._ginibre(4, rng, 2000)
-        g[:, :, 1] = g[:, :, 0] + eps * sp._ginibre(4, rng, 2000)[:, :, 0]
-        q = sp._orthonormal_columns(g, 4)
-        gram = q.conj().transpose(0, 2, 1) @ q
+        cols = sp._ginibre(4, rng, 2000).T.copy()  # (column, row, batch)
+        cols[1] = cols[0] + eps * sp._ginibre(4, rng, 2000).T[0]
+        q = sp._cgs2(cols)
+        gram = np.einsum("mib,nib->bmn", q.conj(), q)
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-
-class TestReductions:
-    def test_product_state(self):
-        rho_a = np.array([[0.7, 0.1j], [-0.1j, 0.3]], dtype=complex)
-        rho_b = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
-        rho = np.kron(rho_a, rho_b)
-        assert np.max(np.abs(sp.partial_trace(rho, 1) - rho_a)) < 1e-12
-        assert np.max(np.abs(sp.partial_trace(rho, 2) - rho_b)) < 1e-12
-
-    def test_maximally_entangled_marginal(self):
-        assert np.max(np.abs(sp.partial_trace(BELL, 1) - np.eye(2) / 2)) < 1e-12
-
-    def test_trace_preserved(self):
-        rho = sp.hs_random_state(4, sp.stream_rng(10))
-        assert abs(np.trace(sp.partial_trace(rho, 1)).real - 1.0) < 1e-12
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            sp.partial_trace(np.eye(3, dtype=complex), 1)
 
 
 class TestPartialTranspose:
@@ -156,7 +150,8 @@ class TestTransposeTest:
 
     def test_local_unitary_invariance(self):
         states = sp.hs_random_states(4, 10_000, seed=14)
-        u = np.kron(sp.haar_unitary(2, sp.stream_rng(7, 1)), sp.haar_unitary(2, sp.stream_rng(7, 2)))
+        u_a, u_b = (phase_fixed_qr(sp._ginibre(2, sp.stream_rng(7, k), 1))[0] for k in (1, 2))
+        u = np.kron(u_a, u_b)
         mins = sp.ppt_min_eigs(states)
         mins_rot = sp.ppt_min_eigs(np.einsum("ij,bjk,lk->bil", u, states, u.conj()))
         band = 1e-10
@@ -233,19 +228,6 @@ class TestFlatKernel:
         assert np.array_equal(flat[0], blocks[0]) and np.array_equal(flat[1], blocks[1])
 
 
-class TestHalfBounded:
-    def test_maximally_mixed(self):
-        assert sp.is_half_bounded(np.eye(4, dtype=complex) / 4)
-
-    def test_pure_state(self):
-        pure = np.zeros((4, 4), dtype=complex)
-        pure[0, 0] = 1.0
-        assert not sp.is_half_bounded(pure)
-
-    def test_rank_two_boundary(self):
-        assert sp.is_half_bounded(np.diag([0.5, 0.5, 0, 0]).astype(complex))
-
-
 class TestSepEstimator:
     def test_reproducible(self):
         cfg = sp.SamplerConfig(seed=77, count=2000)
@@ -270,7 +252,7 @@ class TestSepEstimator:
     def test_unitary_rotation_keeps_fraction(self):
         n = 20_000
         est = sp.estimate_sep_prob(sp.SamplerConfig(seed=19, count=n))
-        u = sp.haar_unitary(4, sp.stream_rng(99))
+        u = phase_fixed_qr(sp._ginibre(4, sp.stream_rng(99), 1))[0]
         rotated = np.einsum("ij,bjk,lk->bil", u, sp.hs_random_states(4, n, seed=19), u.conj())
         frac_rot = float(np.mean(sp.ppt_min_eigs(rotated) >= -sp.PPT_TOL))
         assert abs(est.fraction - frac_rot) <= 3 * np.sqrt(2) * est.stderr
@@ -294,18 +276,13 @@ class TestSepEstimator:
 
 def qr_orbit_gaps(lam, count: int, seed: int) -> np.ndarray:
     """The gaps ``fixed_spectrum_gaps`` should return, rebuilt from the same
-    draws by another route: each block's stream read one chunk at a time as
-    standard_normal((2, 3, 4, m)) (real plane, imaginary plane; axes column,
-    row, sample), each 4x3 matrix orthonormalised by ``phase_fixed_qr``, and
-    the gap read off the full state
+    draws by another route: each block's stream read by ``qr_orbit_columns``,
+    and the gap read off the full state
     rho = sum_m (lam_m - lam_4) |q_m><q_m| + lam_4 I."""
     lam = np.asarray(lam, dtype=float)
     gaps = []
     for block, start in enumerate(range(0, count, sp._BLOCK)):
-        rng, size = sp.stream_rng(seed, block), min(sp._BLOCK, count - start)
-        for s in range(0, size, sp._CHUNK):
-            x = rng.standard_normal((2, 3, 4, min(sp._CHUNK, size - s)))
-            q = phase_fixed_qr((x[0] + 1j * x[1]).transpose(2, 1, 0))  # (sample, row, column)
+        for q in qr_orbit_columns(sp.stream_rng(seed, block), min(sp._BLOCK, count - start)):
             rho = np.einsum("bim,m,bjm->bij", q, lam[:3] - lam[3], q.conj()) + lam[3] * np.eye(4)
             gaps.append(sp._marginal_gaps_block(rho))
     return np.concatenate(gaps)
@@ -350,6 +327,14 @@ class TestFixedSpectrum:
         assert np.max(np.abs(gaps - qr_orbit_gaps(lam, 20_000, seed=25))) < 1e-12
         if lam == [0.25] * 4:
             assert not gaps.any()
+
+    @pytest.mark.parametrize("count", [1, sp._CHUNK + 1, sp._BLOCK])
+    def test_states_and_gaps_share_one_draw(self, count):
+        # Block 0 of fixed_spectrum_gaps reads stream (seed, 0); the states
+        # built from that stream must carry the very same gaps.
+        states = sp._fixed_spectrum_block(np.array(self.LAM), sp.stream_rng(30, 0), count)
+        gaps = sp.fixed_spectrum_gaps(self.LAM, count, seed=30)
+        assert np.max(np.abs(sp._marginal_gaps_block(states) - gaps)) < 1e-12
 
     def test_gaps_independent_of_thread_count(self):
         a = sp.fixed_spectrum_gaps(self.LAM, 70_000, seed=26, threads=1)
@@ -415,11 +400,11 @@ class TestFixedSpectrum:
 
 class TestMarginalGap:
     def test_maximally_mixed_marginal(self):
-        assert sp.marginal_gap(BELL) == 0.0
+        assert sp._marginal_gaps_block(BELL[None])[0] == 0.0
 
     def test_pure_product(self):
         rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
-        assert abs(sp.marginal_gap(rho) - 1.0) < 1e-12
+        assert abs(sp._marginal_gaps_block(rho[None])[0] - 1.0) < 1e-12
 
     def test_range(self):
         states = sp.hs_random_states(4, 5000, seed=24)
@@ -434,9 +419,11 @@ class TestConditionedWalk:
         a = 0.2
         target = (np.eye(2) + a * np.diag([1, -1])) / 2
         cfg = sp.SamplerConfig(seed=25, count=20, burn_in=100, thinning=5)
-        for rho in sp.conditioned_samples(a, cfg, chains=1):
+        states = sp.conditioned_samples(a, cfg, chains=1)
+        for rho in states:
             assert sp.is_valid_density_matrix(rho)
-            assert np.max(np.abs(sp.partial_trace(rho, 1) - target)) < 1e-10
+        red = np.einsum("bijkj->bik", states.reshape(-1, 2, 2, 2, 2))
+        assert np.max(np.abs(red - target)) < 1e-10
 
     def test_batch_marginals_and_validity(self):
         cfg = sp.SamplerConfig(seed=26, count=2000, burn_in=200, thinning=5)
