@@ -8,7 +8,10 @@ positive-partial-transpose test, and the marginal-gap statistic.
 Everything stochastic is driven by counter-based Philox streams keyed by
 (seed, stream index), so results are bit-reproducible for a given seed and
 independent of how work is split across threads.  Batch entry points carve
-the sample range into fixed blocks, one stream per block.
+the sample range into fixed blocks, one stream per block.  Inside a block
+the samplers stream cache-sized chunks: the flat-measure estimator and the
+slice sampler read ``_ginibre_chunks`` (the block's real plane whole, then
+its imaginary plane chunk by chunk), the orbit sampler ``_orbit_chunks``.
 """
 
 from __future__ import annotations
@@ -100,6 +103,32 @@ def _ginibre(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     return g
 
 
+def _ginibre_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The one flat-measure draw of the estimator and the slice sampler: the
+    4x4 Ginibre matrices of a ``size``-sample block as (start, gt) per chunk
+    of m <= ``_CHUNK`` samples, gt of shape (16, m) in the column layout of
+    ``_gram_flat`` (row 4r + c holds G[r, c]).
+
+    Bit for bit ``_ginibre(4, rng, size).reshape(size, 16)[s : s + m].T``.
+    The stream holds every real normal of the block before the first
+    imaginary one, so the real plane is read whole as
+    standard_normal((size, 16)); the imaginary plane is read one chunk at a
+    time as standard_normal((m, 16)), which gives the same numbers as one
+    call because ``standard_normal`` carries no state between calls.  Both
+    planes are scaled by the same 1/sqrt(2) as in ``_ginibre``."""
+    scale = 1.0 / np.sqrt(2.0)
+    re = rng.standard_normal((size, 16))
+    re *= scale
+    for s in range(0, size, _CHUNK):
+        m = min(_CHUNK, size - s)
+        gt = np.empty((16, m), dtype=complex)
+        im = rng.standard_normal((m, 16))
+        im *= scale
+        gt.real, gt.imag = re[s : s + m].T, im.T
+        del im  # else it stays alive while the caller works on the chunk
+        yield s, gt
+
+
 def hs_random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """One density matrix under the flat measure: G G^dag normalized, with G
     a square standard complex Gaussian matrix."""
@@ -183,11 +212,12 @@ def _gram_flat(gt: np.ndarray) -> np.ndarray:
     return wt
 
 
-def _pt_det(p: Sequence[np.ndarray]) -> np.ndarray:
-    """det of the partial transpose of each 4x4 block, by Laplace expansion
-    along rows 0-1 in complementary 2x2 minors.  ``p[4i + j]`` is entry
-    (i, j) of the partial transposes across the batch, for instance the row
-    views ``[wt[k] for k in _PT_FLAT]`` of a (16, n) layout."""
+def _det4(p: Sequence[np.ndarray]) -> np.ndarray:
+    """Real part of the det of each 4x4 block, by Laplace expansion along
+    rows 0-1 in complementary 2x2 minors.  ``p[4i + j]`` is entry (i, j)
+    across the batch: the row views ``[wt[k] for k in _PT_FLAT]`` of a
+    (16, n) layout give det(rho^Gamma), the rows of ``wt`` in order give
+    det(rho) itself."""
 
     def minor(r0, r1, c0, c1):
         return p[4 * r0 + c0] * p[4 * r1 + c1] - p[4 * r0 + c1] * p[4 * r1 + c0]
@@ -213,7 +243,7 @@ def _ppt_decide_flat(wt: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     decided by the det alone.
     """
     tr = (wt[0] + wt[5] + wt[10] + wt[15]).real
-    det = _pt_det([wt[k] for k in _PT_FLAT]) / tr**4
+    det = _det4([wt[k] for k in _PT_FLAT]) / tr**4
     near = np.abs(det) < max(tol, _DET_FLOOR)
     ppt = det > 0
     band = np.zeros(len(det), dtype=bool)
@@ -274,10 +304,12 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
     lambda_min >= -tolerance; states with |lambda_min| < tolerance are
     also reported as indeterminate.  Deterministic given the seed.
 
-    Each block's Ginibre draw is taken apart in chunks of ``_CHUNK``
-    samples, held in a (16, chunk) column layout (one row per matrix entry),
-    so that the unnormalised G G^dag and the determinant below are a few
-    dozen array passes that stay in cache, with no batched matmul.  The
+    Each block reads its stream through ``_ginibre_chunks``: the real plane
+    of its Ginibre draw whole, then the imaginary plane one chunk of
+    ``_CHUNK`` samples at a time, each chunk in a (16, chunk) column layout
+    (one row per matrix entry), so that the unnormalised G G^dag and the
+    determinant below are a few dozen array passes that stay in cache, with
+    no batched matmul and no whole-block complex array.  The
     decision reads the sign of det(rho^Gamma): for two qubits rho^Gamma has
     at most one negative eigenvalue, so rho is PPT exactly when
     det(rho^Gamma) >= 0 (Augusiak, Demianowicz & Horodecki, PRA 77,
@@ -292,10 +324,9 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
     tol = config.tolerance
 
     def block_stats(rng, size):
-        g = _ginibre(4, rng, size).reshape(size, 16)
         counts = np.zeros((1, 2), dtype=np.int64)
-        for s in range(0, size, _CHUNK):
-            ppt, band = _ppt_decide_flat(_gram_flat(g[s : s + _CHUNK].T.copy()), tol)
+        for _, gt in _ginibre_chunks(rng, size):
+            ppt, band = _ppt_decide_flat(_gram_flat(gt), tol)
             counts += [np.count_nonzero(ppt), np.count_nonzero(band)]
         return counts
 
@@ -477,46 +508,91 @@ class ConditionedStats(NamedTuple):
 # other sampler's reach, so they never reuse a flat-measure or orbit draw.
 _SLICE_STREAMS = 1 << 32
 _HALF_BAND = 1e-9  # |lambda_max - 1/2| below this is a tie (band_count)
+# Below this |det(I/2 - rho)| the half-bound verdict is left to eigvalsh: a
+# tie has |det| < _HALF_BAND / 8, far below it.
+_HALF_DET_FLOOR = 1e-7
 
 
-def _slice_block(a: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` iid flat-measure draws on the slice of first marginal
-    sigma = diag((1 + a)/2, (1 - a)/2): G' = (M x I) G in (16, size) layout,
-    whose ``_gram_flat`` is the state (trace one), for Ginibre G and
-    M = sigma^(1/2) W_A^(-1/2), W_A = [[p, q], [q*, s]] the first marginal of
-    G G^dag.  M is fixed on each fiber of fixed W_A and maps it linearly onto
-    the slice, so the draws are exact (Lovas & Andai, J. Phys. A 50, 295303,
-    2017); it keeps every PPT verdict.  For 2x2 positive X, sqrt X =
-    (X + d I) / sqrt(tr X + 2d) with d = sqrt(det X), inverted by adjugate / d."""
-    g = _ginibre(4, rng, size).reshape(size, 16).T.copy()
-    top, bot = g[:8], g[8:]  # rows of G with first-qubit index 0 and 1
+def _slice_filter(a: float, gt: np.ndarray) -> np.ndarray:
+    """Map, in place, a ``_ginibre_chunks`` chunk ``gt`` of Ginibre draws G
+    in (16, m) layout (the block's real plane read whole, its imaginary
+    plane chunk by chunk) to G' = (M x I) G, whose ``_gram_flat`` is a
+    flat-measure draw (trace one) on the slice of first marginal
+    sigma = diag((1 + a)/2, (1 - a)/2), with M = sigma^(1/2) W_A^(-1/2) and
+    W_A = [[p, q], [q*, s]] the first marginal of G G^dag.  M is fixed on
+    each fiber of fixed W_A and maps it linearly onto the slice, so the
+    draws are exact (Lovas & Andai, J. Phys. A 50, 295303, 2017); it keeps
+    every PPT verdict.  Each sample is filtered on its own, so chunks of any
+    size give the same states.  For 2x2 positive X, sqrt X =
+    (X + d I) / sqrt(tr X + 2d) with d = sqrt(det X), inverted by
+    adjugate / d."""
+    top, bot = gt[:8], gt[8:]  # rows of G with first-qubit index 0 and 1
     p = np.einsum("kb,kb->b", top.real, top.real) + np.einsum("kb,kb->b", top.imag, top.imag)
     s = np.einsum("kb,kb->b", bot.real, bot.real) + np.einsum("kb,kb->b", bot.imag, bot.imag)
     q = np.einsum("kb,kb->b", top, bot.conj())
     d = np.sqrt(p * s - (q.real**2 + q.imag**2))
     scale = 1.0 / (d * np.sqrt(p + s + 2.0 * d))
     u, v = math.sqrt((1.0 + a) / 2.0) * scale, math.sqrt((1.0 - a) / 2.0) * scale
-    g[:8], g[8:] = (u * (s + d)) * top - (u * q) * bot, (v * (p + d)) * bot - (v * q.conj()) * top
-    return g
+    new_top = (u * (s + d)) * top - (u * q) * bot
+    bot *= v * (p + d)
+    bot -= (v * q.conj()) * top
+    top[...] = new_top
+    return gt
+
+
+def _half_bounded(wt: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_max <= 1/2 + tol, |lambda_max - 1/2| < ``_HALF_BAND``) for a
+    chunk of trace-one states in (16, m) layout, lambda_max the largest
+    eigenvalue of each.
+
+    The eigenvalues of a trace-one rho >= 0 sum to one, so at most one
+    exceeds 1/2, and lambda_max <= 1/2 exactly when det(I/2 - rho) =
+    prod (1/2 - lambda_i) >= 0.  The other three factors lie in [0, 1/2],
+    so |det(I/2 - rho)| <= |lambda_max - 1/2| / 8: every state with
+    |det| >= max(tol, 1e-7) has |lambda_max - 1/2| > max(tol, 1e-9), and its
+    det sign alone decides both masks.  Only the rest go to eigvalsh.  The
+    det is taken of rho - I/2, which for 4x4 blocks equals det(I/2 - rho),
+    so only the four diagonal rows are copied."""
+    det = _det4([wt[k] - 0.5 if k % 5 == 0 else wt[k] for k in range(16)])
+    near = np.abs(det) < max(tol, _HALF_DET_FLOOR)
+    bounded = det > 0
+    in_band = np.zeros(len(det), dtype=bool)
+    if near.any():
+        lam_max = np.linalg.eigvalsh(wt[:, near].T.reshape(-1, 4, 4))[:, -1]
+        bounded[near] = lam_max <= 0.5 + tol
+        in_band[near] = np.abs(lam_max - 0.5) < _HALF_BAND
+    return bounded, in_band
 
 
 def conditioned_ppt_stats(a: float, config: SamplerConfig) -> ConditionedStats:
-    """Separability fraction of ``config.count`` iid ``_slice_block`` draws at
-    Bloch radius ``a`` in [0, 1), its binomial stderr, and the agreement of
-    the transpose test with lambda_max <= 1/2 outside the ``_HALF_BAND`` ties
-    (band_count).  The filter keeps every PPT verdict, so one seed gives the
-    same PPT count at every radius by construction."""
+    """Separability fraction of ``config.count`` iid flat-measure draws on
+    the slice at Bloch radius ``a`` in [0, 1), its binomial stderr, and the
+    agreement of the transpose test with lambda_max <= 1/2 + tolerance
+    outside the ``_HALF_BAND`` ties (band_count).  The filter keeps every
+    PPT verdict, so one seed gives the same PPT count at every radius by
+    construction.
+
+    Each block reads its stream through ``_ginibre_chunks``, as
+    ``estimate_sep_prob`` does (the real plane whole, then the imaginary
+    plane chunk by chunk), and each chunk goes through ``_slice_filter``,
+    ``_gram_flat`` and the det-sign PPT decision; the counts are summed
+    chunk by chunk.  lambda_max <= 1/2 is read from the sign of
+    det(I/2 - rho) (``_half_bounded``): at most one eigenvalue of a
+    trace-one state exceeds 1/2, so no state needs a full eigensolve except
+    the few with |det(I/2 - rho)| < max(tolerance, 1e-7)."""
     if not 0.0 <= a < 1.0:
         raise ValueError("Bloch radius must lie in [0, 1)")
     tol = config.tolerance
 
-    def block_stats(rng, size):
-        wt = _gram_flat(_slice_block(a, rng, size))
+    def chunk_counts(gt):
+        wt = _gram_flat(_slice_filter(a, gt))
         ppt, indeterminate = _ppt_decide_flat(wt, tol)
-        lam_max = np.linalg.eigvalsh(wt.T.reshape(size, 4, 4))[:, -1]
-        in_band = np.abs(lam_max - 0.5) < _HALF_BAND
-        agree = (ppt == (lam_max <= 0.5 + tol)) & ~in_band
-        return np.array([[np.count_nonzero(m) for m in (ppt, indeterminate, in_band, agree)]])
+        bounded, in_band = _half_bounded(wt, tol)
+        agree = (ppt == bounded) & ~in_band
+        return [np.count_nonzero(m) for m in (ppt, indeterminate, in_band, agree)]
+
+    def block_stats(rng, size):
+        return np.sum([chunk_counts(gt) for _, gt in _ginibre_chunks(rng, size)], axis=0, keepdims=True)
 
     counts = _blocked_map(block_stats, config.count, config.seed, 1, (4,), _SLICE_STREAMS).sum(axis=0)
     ppt, indeterminate, in_band, agree = (int(c) for c in counts)

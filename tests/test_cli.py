@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sepprob import checks
 from sepprob.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -242,6 +243,19 @@ class TestVerifyVerb:
     def test_verify_all_times_each_check(self, verify_all_42):
         _, rep = verify_all_42
         assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in rep["checks"])
+
+    def test_raising_check_keeps_the_report(self, capsys, monkeypatch):
+        def broken():
+            raise IndexError("index 4 is out of bounds")
+
+        monkeypatch.setattr(checks, "check_regions", broken)
+        code, rep, _ = run_json(capsys, "verify", "all", "--seed", "42")
+        pinned = json.loads((GOLDEN / "verify_all.json").read_text())["checks"]
+        assert code == 1 and rep["pass"] is False
+        assert [c["name"] for c in rep["checks"]] == [c["name"] for c in pinned]
+        failed = [c for c in rep["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["integration regions"]
+        assert failed[0]["detail"] == "raised IndexError: index 4 is out of bounds"
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ Statistical assertions run at fixed seeds, so they are deterministic; the
 thresholds were set with slack against reasonable seed changes.
 """
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -227,6 +228,38 @@ class TestFlatKernel:
         blocks = sp._ppt_decide(g @ g.conj().transpose(0, 2, 1), tol)
         assert np.array_equal(flat[0], blocks[0]) and np.array_equal(flat[1], blocks[1])
 
+    @pytest.mark.parametrize("size", [1, 7, sp._CHUNK, sp._CHUNK + 1, 2 * sp._CHUNK + 5, sp._BLOCK])
+    def test_streamed_draw_is_the_whole_block_draw(self, size):
+        want = sp._ginibre(4, sp.stream_rng(42, size), size).reshape(size, 16)
+        starts = []
+        for start, gt in sp._ginibre_chunks(sp.stream_rng(42, size), size):
+            m = min(sp._CHUNK, size - start)
+            assert gt.shape == (16, m) and gt.flags.c_contiguous
+            chunk = np.ascontiguousarray(want[start : start + m].T)
+            assert np.array_equal(gt.view(np.int64), chunk.view(np.int64)), start
+            starts.append(start)
+        assert starts == list(range(0, size, sp._CHUNK))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda config: sp.estimate_sep_prob(config), lambda config: sp.conditioned_ppt_stats(0.3, config)],
+    ids=["estimate_sep_prob", "conditioned_ppt_stats"],
+)
+def test_one_block_allocates_less_than_a_whole_block_array(run):
+    # A whole-block complex Ginibre array alone is 32768 * 16 * 16 bytes =
+    # 8 MiB; the streamed draw keeps only the real plane (4 MiB) and one
+    # chunk at a time.
+    config = sp.SamplerConfig(seed=9, count=sp._BLOCK)
+    run(config)  # first-call allocations are not the sampler's
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sp._BLOCK * 16 * np.dtype(complex).itemsize
+
 
 class TestSepEstimator:
     def test_reproducible(self):
@@ -447,8 +480,10 @@ class TestConditionedWalk:
 
 
 def slice_states(a: float, seed: int, count: int) -> np.ndarray:
-    """``count`` slice-sampler states at radius ``a`` as (count, 4, 4)."""
-    return sp._gram_flat(sp._slice_block(a, sp.stream_rng(seed), count)).T.reshape(count, 4, 4)
+    """``count`` slice-sampler states at radius ``a`` as (count, 4, 4), from
+    one stream read as one block."""
+    chunks = [sp._gram_flat(sp._slice_filter(a, gt)) for _, gt in sp._ginibre_chunks(sp.stream_rng(seed), count)]
+    return np.concatenate(chunks, axis=1).T.reshape(count, 4, 4)
 
 
 def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
@@ -485,7 +520,7 @@ class TestSliceSampler:
         # operation, so no sample may change its PPT verdict.
         n = 50_000
         raw = sp._ginibre(4, sp.stream_rng(53), n).reshape(n, 16).T.copy()
-        filtered = sp._slice_block(a, sp.stream_rng(53), n)
+        filtered = sp._slice_filter(a, raw.copy())
         before = sp._ppt_decide_flat(sp._gram_flat(raw), sp.PPT_TOL)[0]
         after = sp._ppt_decide_flat(sp._gram_flat(filtered), sp.PPT_TOL)[0]
         assert np.array_equal(before, after) and 0 < before.sum() < n
@@ -524,6 +559,48 @@ class TestSliceSampler:
         want = (separable_slice_volume(a) / conditioned_volume(a)).to_float()
         sigma = np.sqrt(want * (1 - want) / n)
         assert abs(np.mean(lam_max <= 0.5) - want) < 4 * sigma
+
+    @pytest.mark.parametrize("tol", [sp.PPT_TOL, 1e-3])
+    def test_half_bound_matches_eigvalsh(self, tol):
+        # Slice states in chunks of 1, 7 and _CHUNK, with ties and states
+        # around 1/2 + tol mixed in: an exact tie diag(1/2, 1/2, 0, 0), a
+        # state at 1/2 + tol/2 and one at 1/2 + 2 tol.  For tol = 1e-3 the
+        # last two have |det(I/2 - rho)| near 2e-5 and 7e-5, above the 1e-7
+        # floor, so a det-only verdict would miscount the first.
+        u = phase_fixed_qr(sp._ginibre(4, sp.stream_rng(63), 1))[0]
+        specials = [np.diag([0.5, 0.5, 0.0, 0.0])]
+        for x in (tol / 2, 2 * tol):
+            specials.append(np.diag([0.5 + x] + 3 * [(0.5 - x) / 3]))
+        specials += [u @ rho @ u.conj().T for rho in specials]
+        for size in (1, 7, sp._CHUNK):
+            states = np.concatenate([slice_states(0.1, 64, size), specials])
+            lam_max = np.linalg.eigvalsh(states)[:, -1]
+            bounded, in_band = sp._half_bounded(states.reshape(len(states), 16).T.copy(), tol)
+            assert np.array_equal(bounded, lam_max <= 0.5 + tol), size
+            assert np.array_equal(in_band, np.abs(lam_max - 0.5) < sp._HALF_BAND), size
+            assert in_band[-6] and in_band[-3]  # the tie, plain and rotated
+            assert list(bounded[-5:]) == [True, False, True, True, False]
+
+    @pytest.mark.parametrize("tol", [sp.PPT_TOL, 1e-3])
+    @pytest.mark.parametrize("count", [sp._CHUNK + 1, sp._BLOCK + sp._CHUNK + 1])
+    def test_counts_match_eigvalsh_on_every_state(self, count, tol):
+        # Counts that end one past a chunk edge and one past a block edge,
+        # against eigvalsh of every state on the same per-block streams.
+        a, seed = 0.01, 65
+        want = np.zeros(4, dtype=np.int64)
+        for i, start in enumerate(range(0, count, sp._BLOCK)):
+            size = min(sp._BLOCK, count - start)
+            rng = sp.stream_rng(seed, sp._SLICE_STREAMS + i)
+            chunks = [sp._gram_flat(sp._slice_filter(a, gt)) for _, gt in sp._ginibre_chunks(rng, size)]
+            states = np.concatenate(chunks, axis=1).T.reshape(size, 4, 4)
+            mins, lam_max = sp.ppt_min_eigs(states), np.linalg.eigvalsh(states)[:, -1]
+            ppt, tie = mins >= -tol, np.abs(lam_max - 0.5) < sp._HALF_BAND
+            agree = (ppt == (lam_max <= 0.5 + tol)) & ~tie
+            want += [np.count_nonzero(m) for m in (ppt, np.abs(mins) < tol, tie, agree)]
+        stats = sp.conditioned_ppt_stats(a, sp.SamplerConfig(seed=seed, count=count, tolerance=tol))
+        ppt, indeterminate, tie, agree = (int(c) for c in want)
+        assert (round(stats.fraction * count), stats.indeterminate, stats.band_count) == (ppt, indeterminate, tie)
+        assert stats.agreement_halfbound == agree / (count - tie)
 
     @pytest.mark.parametrize("a", [0.0, 0.4])
     def test_matches_walk_in_distribution(self, a):
