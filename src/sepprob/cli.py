@@ -15,19 +15,27 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, checks
-from . import dh_density as dh
-from . import sampling as sp
+from . import __version__
 from . import sep_integral as si
 from . import volumes as vol
 from .exactmath import decimal_str, rational_from_str, rational_str
 from .volumes import Spectrum
 
+# numpy, and the modules built on it (checks, dh_density, sampling), are
+# imported by the verbs that use them, so `integrate` and `volumes` start
+# without it.
+
 
 def _versions() -> dict:
-    return {"sepprob": __version__, "python": platform.python_version(), "numpy": np.__version__}
+    """Package versions; numpy's comes from its metadata when it is not loaded."""
+    np = sys.modules.get("numpy")
+    if np is not None:
+        numpy_version = np.__version__
+    else:
+        from importlib.metadata import version
+
+        numpy_version = version("numpy")
+    return {"sepprob": __version__, "python": platform.python_version(), "numpy": numpy_version}
 
 
 def _report(command: str, results, seed=None, checks_list=None, t0: float | None = None) -> dict:
@@ -95,6 +103,8 @@ def cmd_volumes(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from . import dh_density as dh
+
     t0 = time.time()
     if args.grid:
         _density_grid_csv(dh.convolution_density_closed(), args.grid)
@@ -121,6 +131,9 @@ def cmd_density(args) -> int:
 
 
 def _oracle_rows(points: int, seed: int):
+    from . import checks
+    from . import dh_density as dh
+
     rows = []
     worst = 0.0
     for pt, exact, oracle in checks.density_oracle_points(seed, points):
@@ -139,6 +152,8 @@ def _oracle_rows(points: int, seed: int):
 
 
 def _density_grid_csv(closed, k: int) -> None:
+    from . import dh_density as dh
+
     print("r,s,chamber,density")
     for i in range(k):
         r = -5.0 + 6.0 * i / (k - 1) if k > 1 else -5.0
@@ -149,6 +164,8 @@ def _density_grid_csv(closed, k: int) -> None:
 
 
 def cmd_marginal(args) -> int:
+    from . import dh_density as dh
+
     t0 = time.time()
     if args.csv and not args.samples:
         raise ValueError("--csv needs --samples: it formats the sampled histogram")
@@ -195,6 +212,8 @@ def _marginal_grid_csv(density, support, k: int) -> None:
 
 
 def _marginal_histogram(args, centered, t0) -> int:
+    from . import checks
+
     bins = args.bins
     count = args.samples
     hist = checks.marginal_histogram(centered, count, args.seed, bins, threads=args.threads)
@@ -258,8 +277,11 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import sampling as sp
+
     t0 = time.time()
-    config = sp.SamplerConfig(seed=args.seed, count=args.n, tolerance=args.tol)
+    tol = sp.PPT_TOL if args.tol is None else args.tol
+    config = sp.SamplerConfig(seed=args.seed, count=args.n, tolerance=tol)
     if args.what == "sep":
         est = sp.estimate_sep_prob(config, threads=args.threads)
         _emit(_report("sample sep", est._asdict(), seed=args.seed, t0=t0))
@@ -270,6 +292,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     t0 = time.time()
     results = []
     start = time.perf_counter()
@@ -325,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=_positive(int), required=True)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--threads", type=_positive(int), default=1)
-    q.add_argument("--tol", type=_positive(float), default=sp.PPT_TOL)
+    q.add_argument("--tol", type=_positive(float), help="PPT tolerance (default: sampling.PPT_TOL)")
     q.set_defaults(func=cmd_sample)
 
     q = sample_sub.add_parser("conditioned", help="fixed-marginal slice fraction")
     q.add_argument("--a", type=_unit_interval, required=True)
     q.add_argument("--n", type=_positive(int), required=True)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--tol", type=_positive(float), default=sp.PPT_TOL)
+    q.add_argument("--tol", type=_positive(float), help="PPT tolerance (default: sampling.PPT_TOL)")
     q.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run the self-check suite")

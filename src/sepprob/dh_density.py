@@ -23,44 +23,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .exactmath import MultiPoly, residue_of_exp_over_linear_factors
-from .volumes import CenteredSpectrum, Spectrum, vandermonde
+from .volumes import CenteredSpectrum, vandermonde
 
 # Planar variables: index 0 is r, index 1 is s.
 VAR_R, VAR_S = 0, 1
 
 Weight = tuple[int, int]
 
-# Positive roots of the rank-3 special unitary algebra, as vectors in R^4.
-_POSITIVE_ROOTS_4 = [
-    (1, -1, 0, 0),
-    (1, 0, -1, 0),
-    (1, 0, 0, -1),
-    (0, 1, -1, 0),
-    (0, 1, 0, -1),
-    (0, 0, 1, -1),
-]
-
-
-def _project_to_plane(v: Sequence[int]) -> tuple[int, int]:
-    """Restriction map to the two-torus coordinates: 2(v1+v2, v1+v3)."""
-    return (2 * (v[0] + v[1]), 2 * (v[0] + v[2]))
-
-
-def weights_from_roots() -> list[Weight]:
-    """The six projected negative root images, as a sorted multiset.
-
-    Two of them, (-2, 0) and (0, -2), occur twice.
-    """
-    ws = []
-    for alpha in _POSITIVE_ROOTS_4:
-        px, py = _project_to_plane(alpha)
-        ws.append((-px, -py))
-    return sorted(ws)
-
-
-# The four distinct weights drive the convolution density; the doubled pair
-# is absorbed by the derivative step that turns the torus density into the
-# non-Abelian one.
+# The four distinct weights drive the convolution density.  The six projected
+# negative roots hit (-2, 0) and (0, -2) twice; that doubled pair is absorbed
+# by the derivative step that turns the torus density into the non-Abelian one.
 DISTINCT_WEIGHTS: list[Weight] = [(-2, 2), (-2, 0), (-2, -2), (0, -2)]
 
 CHAMBER_LABELS = ("C0", "C1", "C2", "C3")
@@ -243,17 +215,6 @@ class MomentPolytope2Q:
 
 def moment_polytope(support: MarginalSupport) -> MomentPolytope2Q:
     return MomentPolytope2Q(support)
-
-
-def bravyi_compatible(global_spectrum: Spectrum, lam_min_a, lam_min_b, tol=0) -> bool:
-    """Whether qubit marginals with the given minimal eigenvalues can coexist
-    with the given global two-qubit spectrum."""
-    if len(global_spectrum) != 4:
-        raise ValueError("global spectrum must have length 4")
-    x = 1 - 2 * Fraction(lam_min_a) if isinstance(lam_min_a, (int, Fraction)) else 1 - 2 * lam_min_a
-    y = 1 - 2 * Fraction(lam_min_b) if isinstance(lam_min_b, (int, Fraction)) else 1 - 2 * lam_min_b
-    poly = moment_polytope(marginal_support(global_spectrum.centered()))
-    return poly.contains(x, y, tol=tol)
 
 
 @dataclass(frozen=True)

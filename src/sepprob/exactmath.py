@@ -6,9 +6,12 @@ Rationals are plain ``fractions.Fraction`` (arbitrary precision; denominators
 like 15! appear downstream and must stay exact).  Polynomials map exponent
 tuples to nonzero Fraction coefficients, so equality is structural and
 bit-exact.  Products, substitutions and definite integrals run on integer
-numerators over one common denominator.  Substitution has one kernel,
+numerators over one common denominator, keyed by packed monomials: exponent i
+of a term sits in bits [i*w, (i+1)*w) of one int, so adding keys multiplies
+monomials.  Each call picks w as the bit length of a total-degree bound of its
+result, so no field can carry into the next.  Substitution has one kernel,
 ``_horner``; ``iterated_integrate`` carries (numerators, denominator) through
-every level and builds the Fractions once, on its result.
+every level and unpacks keys and builds Fractions once, on its result.
 Variables are positional indices; the modules that build concrete expressions
 keep their own symbol tables.
 """
@@ -17,13 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm, pi, sqrt
-from operator import add
 from typing import Mapping, Sequence
 
 Rational = Fraction
 
 Exponent = tuple[int, ...]
-IntTerms = dict[Exponent, int]  # integer numerators over a denominator kept alongside
+IntTerms = dict[int, int]  # packed monomial key -> integer numerator over a denominator kept alongside
 
 
 def rational_str(q: Fraction) -> str:
@@ -45,26 +47,48 @@ def decimal_str(x: float) -> str:
     return format(x, ".17g")
 
 
-def _int_form(terms: Mapping[Exponent, Fraction]) -> tuple[IntTerms, int]:
-    """(numerators, den): den is the lcm of the denominators, terms = numerators / den."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+def _width(degree: int) -> int:
+    """Bits per exponent field for terms of total degree at most ``degree``.
+
+    No exponent of such a term reaches 2**width, so adding the packed keys of
+    two factors whose product stays within the bound never carries.
+    """
+    return max(degree, 1).bit_length()
+
+
+def _int_form(p: "MultiPoly", width: int) -> tuple[IntTerms, int]:
+    """(numerators, den) of ``p`` on packed keys: den is the lcm of the
+    denominators, terms = numerators / den, exponent i at bit i * width."""
+    shifts = range(0, p.arity * width, width)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {
+        sum(e << s for e, s in zip(exps, shifts)): c.numerator * (den // c.denominator)
+        for exps, c in p.terms.items()
+    }, den
+
+
+def _fractions(num: IntTerms, den: int, arity: int, width: int) -> dict[Exponent, Fraction]:
+    """Unpack the keys of ``num`` into exponent tuples, with terms num / den."""
+    shifts, mask = range(0, arity * width, width), (1 << width) - 1
+    return {tuple(k >> s & mask for s in shifts): Fraction(c, den) for k, c in num.items()}
 
 
 def _int_mul_into(acc: IntTerms, left: IntTerms, right: IntTerms) -> None:
-    """acc += left * right, in place, on integer numerators of one arity."""
+    """acc += left * right, in place, on integer numerators with packed keys."""
     get = acc.get
+    pairs = list(right.items())
     for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            e = tuple(map(add, e1, e2))
+        for e2, c2 in pairs:
+            e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
 
 
-def _by_power(num: IntTerms, var: int) -> dict[int, IntTerms]:
-    """Group numerators by their power of ``var``, with that power zeroed in the keys."""
+def _by_power(num: IntTerms, shift: int, mask: int) -> dict[int, IntTerms]:
+    """Group numerators by the exponent field at ``shift``, zeroed in the keys."""
     groups: dict[int, IntTerms] = {}
     for e, c in num.items():
-        groups.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1 :]] = c
+        k = e >> shift & mask
+        groups.setdefault(k, {})[e - (k << shift)] = c
     return groups
 
 
@@ -183,19 +207,19 @@ class MultiPoly:
         """Product with a scalar or a polynomial.
 
         A polynomial product convolves the integer numerators of both factors
-        over the product of their common denominators, then builds one reduced
-        Fraction per output term.
+        on packed keys, over the product of their common denominators, then
+        builds one reduced Fraction per output term.
         """
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
             return MultiPoly._trusted(self.arity, {e: k * c for e, k in self.terms.items()})
         self._check_arity(other)
-        nl, dl = _int_form(self.terms)
-        nr, dr = _int_form(other.terms)
+        width = _width(self.degree() + other.degree())
+        nl, dl = _int_form(self, width)
+        nr, dr = _int_form(other, width)
         acc: IntTerms = {}
         _int_mul_into(acc, nl, nr)
-        den = dl * dr
-        return MultiPoly._trusted(self.arity, {e: Fraction(v, den) for e, v in acc.items()})
+        return MultiPoly._trusted(self.arity, _fractions(acc, dl * dr, self.arity, width))
 
     __rmul__ = __mul__
 
@@ -290,20 +314,20 @@ class MultiPoly:
         """Exact composition: replace variable ``var`` by the polynomial ``value``.
 
         The terms are grouped by their power of ``var`` and evaluated at
-        ``value`` by :func:`_horner` on integer numerators; one reduced
-        Fraction is built per output term.
+        ``value`` by :func:`_horner` on integer numerators with packed keys;
+        one reduced Fraction is built per output term.
         """
         if not 0 <= var < self.arity:
             raise ValueError(f"variable index {var} out of range")
         if not isinstance(value, MultiPoly):
             value = MultiPoly.constant(self.arity, value)
         self._check_arity(value)
-        num, den = _int_form(self.terms)
-        if not num:
+        if not self.terms:
             return MultiPoly(self.arity)
-        acc, scale = _horner(_by_power(num, var), *_int_form(value.terms))
-        den *= scale
-        return MultiPoly._trusted(self.arity, {e: Fraction(v, den) for e, v in acc.items()})
+        width = _width(self.degree() * max(value.degree(), 1))
+        num, den = _int_form(self, width)
+        acc, scale = _horner(_by_power(num, var * width, (1 << width) - 1), *_int_form(value, width))
+        return MultiPoly._trusted(self.arity, _fractions(acc, den * scale, self.arity, width))
 
     def derivative(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.arity:
@@ -395,26 +419,35 @@ def iterated_integrate(
 
     A bound that involves its own variable or an integrated-out one raises
     ValueError, as does integrating a variable twice.  Per level, on integer
-    numerators: the antiderivative scales var**k by lcm(1..K)/(k+1), both
-    bounds go through :func:`_horner`, and one gcd reduces the difference.
+    numerators with packed keys: the antiderivative scales var**k by
+    lcm(1..K)/(k+1), both bounds go through :func:`_horner`, and one gcd
+    reduces the difference.  The key width is fixed once, from the total
+    degree bound (D + 1) * max(1, bound degrees) of each level in turn.
     """
     done: set[int] = set()
-    num, den = _int_form(p.terms)
+    plan = []
+    degree = max(p.degree(), 0)
     for var, lower, upper in bounds:
         if var in done:
             raise ValueError(f"variable {var} integrated twice")
-        forms = []
+        pair = []
         for b in (upper, lower):
             b = b if isinstance(b, MultiPoly) else MultiPoly.constant(p.arity, b)
             if b.involves(var):
                 raise ValueError(f"integration bound depends on variable {var}")
             if bad := [v for v in done if b.involves(v)]:
                 raise ValueError(f"bound for variable {var} depends on integrated-out {bad}")
-            forms.append(_int_form(b.terms))
+            pair.append(b)
         done.add(var)
+        degree = (degree + 1) * max(1, *(b.degree() for b in pair))
+        plan.append((var, pair))
+    width = _width(degree)
+    num, den = _int_form(p, width)
+    for var, pair in plan:
         if not num:
-            continue
-        groups = _by_power(num, var)
+            break
+        groups = _by_power(num, var * width, (1 << width) - 1)
+        forms = [_int_form(b, width) for b in pair]
         m = lcm(*range(1, max(groups) + 2))
         groups = {k + 1: {e: c * (m // (k + 1)) for e, c in g.items()} for k, g in groups.items()}
         (hu, su), (hl, sl) = (_horner(groups, *f) for f in forms)
@@ -426,7 +459,7 @@ def iterated_integrate(
         den *= m * scale
         g = gcd(den, *num.values())
         num, den = {e: c // g for e, c in num.items() if c}, den // g
-    return MultiPoly._trusted(p.arity, {e: Fraction(c, den) for e, c in num.items()})
+    return MultiPoly._trusted(p.arity, _fractions(num, den, p.arity, width))
 
 
 class LaurentSeries:

@@ -373,14 +373,6 @@ def _fixed_spectrum_block(lam: np.ndarray, rng: np.random.Generator, size: int) 
     return rho
 
 
-def _marginal_gaps_block(states: np.ndarray) -> np.ndarray:
-    r = states.reshape(-1, 2, 2, 2, 2)
-    red = np.einsum("bijkj->bik", r)
-    half_diff = 0.5 * (red[:, 0, 0] - red[:, 1, 1]).real
-    radius = np.sqrt(half_diff**2 + np.abs(red[:, 0, 1]) ** 2)
-    return 2.0 * radius
-
-
 def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, threads: int = 1) -> np.ndarray:
     """Marginal gaps of ``count`` fixed-spectrum orbit samples.
 

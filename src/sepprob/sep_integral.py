@@ -99,16 +99,6 @@ def vandermonde_gap_poly() -> MultiPoly:
     )
 
 
-def support_polys() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """Marginal-support breakpoints in gap coordinates.
-
-    Returns (b1_signed, b2, b3) with b1_signed = t1 - t3/3; its absolute
-    value is resolved per integration subregion.
-    """
-    t1, t2, t3 = _v(T1), _v(T2), _v(T3)
-    return (t1 - t3 / 3, t1 + t3 / 3, t1 + t2 + t3 / 3)
-
-
 def gap_integrand(k: int, branch: str | None = None) -> MultiPoly:
     """The k-th gap-density contribution pulled back to gap coordinates.
 
@@ -129,24 +119,6 @@ def gap_integrand(k: int, branch: str | None = None) -> MultiPoly:
         return -(t1 + t2 / 2) * (t2 / 2 + t3 / 3) / 16 * (t1 + t3 / 3 - x) ** 2 * x
     if k == 3:
         return t1 * t3 / 48 * (t1 + t2 + t3 / 3 - x) ** 2 * x
-    raise ValueError("contribution index must be 1, 2 or 3")
-
-
-def gap_integrand_pullback(k: int) -> MultiPoly:
-    """The same contribution built directly from the breakpoint polynomials.
-
-    Cross-check target for :func:`gap_integrand`.  For k = 1 this uses the
-    signed breakpoint t1 - t3/3, so it matches the "pos" branch; the "neg"
-    branch matches after flipping that sign.
-    """
-    x = _v(X)
-    b1, b2, b3 = support_polys()
-    if k == 1:
-        return (b3 * b3 - b2 * b2) / 64 * x * (x - b1) ** 2
-    if k == 2:
-        return (b1 * b1 - b3 * b3) / 64 * x * (x - b2) ** 2
-    if k == 3:
-        return (b2 * b2 - b1 * b1) / 64 * x * (x - b3) ** 2
     raise ValueError("contribution index must be 1, 2 or 3")
 
 
@@ -270,12 +242,14 @@ def region_bounds_ordered(name: str, at_x, samples: int = 4) -> bool:
 
 @lru_cache(maxsize=None)
 def gap_piece_partials(k: int) -> dict[str, MultiPoly]:
-    """Signed per-region contributions to the k-th partial integral."""
-    out: dict[str, MultiPoly] = {}
-    for name, sign, branch in REGION_DECOMPOSITION[k]:
-        integrand = vandermonde_gap_poly() * gap_integrand(k, branch)
-        out[name] = region_integral(name, integrand) * (sign * _MEASURE_FACTOR)
-    return out
+    """Signed per-region contributions to the k-th partial integral; each
+    distinct integrand (one per branch) is built once."""
+    branches = {branch for _, _, branch in REGION_DECOMPOSITION[k]}
+    integrands = {b: vandermonde_gap_poly() * gap_integrand(k, b) for b in branches}
+    return {
+        name: region_integral(name, integrands[branch]) * (sign * _MEASURE_FACTOR)
+        for name, sign, branch in REGION_DECOMPOSITION[k]
+    }
 
 
 def gap_piece(k: int, order: Sequence[int] | None = None) -> MultiPoly:
@@ -366,7 +340,11 @@ ZERO_CONDITIONED_VOLUME = SymbolicReal(_F(1, 9676800), pi_power=5)
 def conditioned_volume(a) -> SymbolicReal:
     """HS volume of the fixed-marginal slice at Bloch radius ``a`` < 1.
 
-    Scales as (1 - a^2)^6 from the radius-0 slice.
+    Phi(X) = (M (x) I) X (M (x) I)^dag with M = diag(1 + a, 1 - a)^(1/2) maps
+    the radius-0 slice one to one onto this one.  Its determinant on the
+    tangent space ker Tr_B is |det M|^16 (X -> A X A^dag on 4 x 4 Hermitian
+    matrices) over |det M|^4 (Y -> M Y M^dag on the quotient by Tr_B), that is
+    |det M|^12 = (1 - a^2)^6.
     """
     a = Fraction(a)
     if not 0 <= a < 1:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sepprob
 from sepprob import checks
 from sepprob.cli import main
 
@@ -50,6 +55,30 @@ class TestIntegrateVerb:
         # 1345/387370509926400 in lowest terms.
         assert coeffs[(1,)] == "269/77474101985280"
         assert rep["results"]["decimal_coeffs"]["1"].startswith("3.47")
+
+
+# Runs the exact verbs in a fresh interpreter and reports which numpy
+# version they printed and whether numpy got imported.
+_EXACT_VERBS_CHILD = """
+import contextlib, io, json, sys
+from sepprob.cli import main
+versions = []
+for argv in (["integrate", "--emit", "prob"], ["volumes", "--n", "4"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    versions.append(json.loads(out.getvalue())["versions"]["numpy"])
+print(json.dumps({"numpy_imported": "numpy" in sys.modules, "versions": versions}))
+"""
+
+
+def test_exact_verbs_run_without_numpy():
+    src = str(Path(sepprob.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _EXACT_VERBS_CHILD], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {"numpy_imported": False, "versions": [np.__version__] * 2}
 
 
 class TestVolumesVerb:

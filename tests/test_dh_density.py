@@ -4,11 +4,11 @@ one-variable gap density with its quadrature oracle."""
 import random
 from fractions import Fraction as F
 
+from reference import bravyi_compatible, project_to_plane, weights_from_roots
 from sepprob.dh_density import (
     CHAMBER_LABELS,
     DISTINCT_WEIGHTS,
     MarginalSupport,
-    bravyi_compatible,
     classify_chamber,
     convolution_density_closed,
     convolution_density_jump,
@@ -19,7 +19,6 @@ from sepprob.dh_density import (
     moment_polytope,
     total_gap_mass,
     vandermonde_over_twelve,
-    weights_from_roots,
 )
 from sepprob.exactmath import MultiPoly
 from sepprob.volumes import CenteredSpectrum, Spectrum
@@ -48,9 +47,7 @@ class TestWeights:
 
     def test_single_root_image(self):
         # The root (0, 1, -1, 0) maps to (2, -2); its negative is (-2, 2).
-        from sepprob.dh_density import _project_to_plane
-
-        px, py = _project_to_plane((0, 1, -1, 0))
+        px, py = project_to_plane((0, 1, -1, 0))
         assert (-px, -py) == (-2, 2)
 
     def test_distinct_weights_cover_multiset(self):

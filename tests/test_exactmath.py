@@ -11,6 +11,9 @@ from sepprob.exactmath import (
     LaurentSeries,
     MultiPoly,
     SymbolicReal,
+    _fractions,
+    _int_form,
+    _width,
     compose,
     extract_univariate,
     integrate_once,
@@ -244,6 +247,42 @@ class TestIntegerKernels:
             assert (p * zero).terms == {} and (zero * p).terms == {}
             assert zero.substitute(0, p).terms == {}
             assert_substitution_evaluates(p, 0, zero, rng)
+
+
+class TestPackedKeys:
+    """Each kernel packs a term's exponents into one int, ``_width(D)`` bits
+    per variable, D a degree bound of its result.  These results fill an
+    exponent field exactly (2**width - 1) or pass it by one; a carry would
+    move exponent into the next variable."""
+
+    def test_width_is_the_bit_length_of_the_bound(self):
+        assert [_width(d) for d in (-1, 0, 1, 15, 16, 63, 64)] == [1, 1, 1, 4, 5, 6, 7]
+
+    def test_pack_round_trip_at_a_full_field(self):
+        p = MultiPoly(3, {(15, 0, 15): F(1, 3), (0, 15, 1): F(-2)})
+        num, den = _int_form(p, 4)
+        assert num.keys() == {15 | 15 << 8, 15 << 4 | 1 << 8}
+        assert _fractions(num, den, 3, 4) == p.terms
+
+    @pytest.mark.parametrize("left, right", [(7, 8), (8, 8), (31, 32), (32, 32)])
+    def test_product_fills_the_field_without_carry(self, left, right):
+        x, y = x_(2, 0), x_(2, 1)
+        assert _width(left + right) == (left + right).bit_length()
+        assert (x**left * (x**right + y)).terms == {(left + right, 0): 1, (left, 1): 1}
+
+    def test_substitution_fills_the_field_without_carry(self):
+        x, y = x_(3, 0), x_(3, 1)
+        # deg 5 * deg 3 = 15: width 4, and y**15 fills its field.
+        assert (x**5).substitute(0, y**3).terms == {(0, 15, 0): 1}
+        assert (x**4 * y**3).substitute(0, y**3).terms == {(0, 15, 0): 1}
+
+    def test_iterated_integral_fills_the_field_without_carry(self):
+        y, z = x_(3, 1), x_(3, 2)
+        # (14 + 1) * 1 = 15: width 4, and z**15 fills its field.
+        assert iterated_integrate(y**14, [(1, 0, z)]).terms == {(0, 0, 15): F(1, 15)}
+        # Two levels: (14 + 1) * 1 + 1 = 16 needs width 5.
+        got = iterated_integrate(y**14, [(1, 0, z), (2, 0, x_(3, 0))])
+        assert got.terms == {(16, 0, 0): F(1, 240)}
 
 
 class TestSubstitution:

@@ -1,7 +1,8 @@
 """Algebraic laws of MultiPoly stated as hypothesis properties: the ring
 laws, substitution as a ring homomorphism, compose and products against
-evaluation, the product rule and inverse of the derivative, and the
-integer-numerator iterated integral against a Fraction-domain reference."""
+evaluation, the product rule and inverse of the derivative, and the packed-key
+integer kernels (products, substitution, iterated integrals) against a
+reference on plain exponent tuples and Fractions."""
 
 from fractions import Fraction
 from operator import add
@@ -107,8 +108,8 @@ def _ref_mul(p, q):
     return out
 
 
-def _ref_substitute(p, var, value):
-    out, powers = {}, [{(0,) * ARITY: Fraction(1)}]
+def _ref_substitute(p, var, value, arity):
+    out, powers = {}, [{(0,) * arity: Fraction(1)}]
     for e, c in p.items():
         while len(powers) <= e[var]:
             powers.append(_ref_mul(powers[-1], value))
@@ -123,10 +124,10 @@ def _ref_iterated_integrate(p, bounds):
     terms = dict(p.terms)
     for var, lower, upper in bounds:
         anti = {e[:var] + (e[var] + 1,) + e[var + 1 :]: c / (e[var] + 1) for e, c in terms.items()}
-        terms = _ref_substitute(anti, var, upper.terms)
-        for e, c in _ref_substitute(anti, var, lower.terms).items():
+        terms = _ref_substitute(anti, var, upper.terms, p.arity)
+        for e, c in _ref_substitute(anti, var, lower.terms, p.arity).items():
             terms[e] = terms.get(e, Fraction(0)) - c
-    return MultiPoly(ARITY, terms)
+    return MultiPoly(p.arity, terms)
 
 
 @st.composite
@@ -168,3 +169,64 @@ def test_iterated_integral_rejects_bad_bounds(p, var, step, c):
     for bounds in bad_plans:
         with pytest.raises(ValueError):
             iterated_integrate(p, bounds)
+
+
+# -- packed keys at arity 1 and 5, exponents up to about 60 -----------------
+
+HIGH = 60
+# Two arities per property, so half the examples each.
+PACKED_EXAMPLES = settings(EXAMPLES, max_examples=25)
+# The keys are under test here, not the coefficients: small rationals keep
+# the Fraction reference's powers of the bounds cheap.
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def high_polys(draw, arity, max_degree=HIGH, max_size=4):
+    exps = st.tuples(*[st.integers(0, max_degree)] * arity)
+    return MultiPoly(arity, draw(st.dictionaries(exps, small_rationals, min_size=1, max_size=max_size)))
+
+
+@st.composite
+def sparse_bounds(draw, arity, free):
+    """A constant, or c + d * x_j for one variable j of ``free``."""
+    c = draw(small_rationals)
+    if not free or draw(st.booleans()):
+        return MultiPoly.constant(arity, c)
+    return MultiPoly.linear(arity, {draw(st.sampled_from(free)): draw(small_rationals)}, c)
+
+
+@st.composite
+def sparse_plans(draw, arity):
+    order = draw(st.permutations(range(arity)))[: draw(st.integers(1, min(arity, 2)))]
+    bounds = []
+    for i, var in enumerate(order):
+        free = [v for v in range(arity) if v not in order[: i + 1]]
+        bounds.append((var, draw(sparse_bounds(arity, free)), draw(sparse_bounds(arity, free))))
+    return bounds
+
+
+@pytest.mark.parametrize("arity", [1, 5])
+@PACKED_EXAMPLES
+@given(data=st.data())
+def test_packed_product_matches_tuple_reference(arity, data):
+    p, q = data.draw(high_polys(arity)), data.draw(high_polys(arity))
+    assert p * q == MultiPoly(arity, _ref_mul(p.terms, q.terms))
+
+
+@pytest.mark.parametrize("arity", [1, 5])
+@PACKED_EXAMPLES
+@given(data=st.data())
+def test_packed_substitute_matches_tuple_reference(arity, data):
+    p = data.draw(high_polys(arity))
+    value = data.draw(high_polys(arity, max_degree=3, max_size=2))
+    var = data.draw(st.integers(0, arity - 1))
+    assert p.substitute(var, value) == MultiPoly(arity, _ref_substitute(p.terms, var, value.terms, arity))
+
+
+@pytest.mark.parametrize("arity", [1, 5])
+@PACKED_EXAMPLES
+@given(data=st.data())
+def test_packed_iterated_integral_matches_tuple_reference(arity, data):
+    p, bounds = data.draw(high_polys(arity, max_size=3)), data.draw(sparse_plans(arity))
+    assert iterated_integrate(p, bounds) == _ref_iterated_integrate(p, bounds)

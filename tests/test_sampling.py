@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from reference import marginal_gaps_block
 from sepprob import sampling as sp
 from sepprob.checks import SPEC_45, conditioned_slices, gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
 from sepprob.dh_density import marginal_gap_density, marginal_support, moment_polytope
@@ -296,7 +297,7 @@ class TestSepEstimator:
         # marginal band shrinks.
         states = sp.hs_random_states(4, 400_000, seed=29)
         lam_max = np.linalg.eigvalsh(states)[:, -1]
-        gaps = sp._marginal_gaps_block(states)
+        gaps = marginal_gaps_block(states)
         mins = sp.ppt_min_eigs(states)
         fracs = []
         for band in (0.20, 0.12, 0.06):
@@ -317,7 +318,7 @@ def qr_orbit_gaps(lam, count: int, seed: int) -> np.ndarray:
     for block, start in enumerate(range(0, count, sp._BLOCK)):
         for q in qr_orbit_columns(sp.stream_rng(seed, block), min(sp._BLOCK, count - start)):
             rho = np.einsum("bim,m,bjm->bij", q, lam[:3] - lam[3], q.conj()) + lam[3] * np.eye(4)
-            gaps.append(sp._marginal_gaps_block(rho))
+            gaps.append(marginal_gaps_block(rho))
     return np.concatenate(gaps)
 
 
@@ -367,7 +368,7 @@ class TestFixedSpectrum:
         # built from that stream must carry the very same gaps.
         states = sp._fixed_spectrum_block(np.array(self.LAM), sp.stream_rng(30, 0), count)
         gaps = sp.fixed_spectrum_gaps(self.LAM, count, seed=30)
-        assert np.max(np.abs(sp._marginal_gaps_block(states) - gaps)) < 1e-12
+        assert np.max(np.abs(marginal_gaps_block(states) - gaps)) < 1e-12
 
     def test_gaps_independent_of_thread_count(self):
         a = sp.fixed_spectrum_gaps(self.LAM, 70_000, seed=26, threads=1)
@@ -423,7 +424,7 @@ class TestFixedSpectrum:
         poly = moment_polytope(marginal_support(spectrum.centered()))
         states = sp._fixed_spectrum_block(np.array(self.LAM), sp.stream_rng(23), 100_000)
         r = states.reshape(-1, 2, 2, 2, 2)
-        gaps_a = sp._marginal_gaps_block(states)
+        gaps_a = marginal_gaps_block(states)
         red_b = np.einsum("bijil->bjl", r)
         hd = 0.5 * (red_b[:, 0, 0] - red_b[:, 1, 1]).real
         gaps_b = 2.0 * np.sqrt(hd**2 + np.abs(red_b[:, 0, 1]) ** 2)
@@ -433,15 +434,15 @@ class TestFixedSpectrum:
 
 class TestMarginalGap:
     def test_maximally_mixed_marginal(self):
-        assert sp._marginal_gaps_block(BELL[None])[0] == 0.0
+        assert marginal_gaps_block(BELL[None])[0] == 0.0
 
     def test_pure_product(self):
         rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
-        assert abs(sp._marginal_gaps_block(rho[None])[0] - 1.0) < 1e-12
+        assert abs(marginal_gaps_block(rho[None])[0] - 1.0) < 1e-12
 
     def test_range(self):
         states = sp.hs_random_states(4, 5000, seed=24)
-        gaps = sp._marginal_gaps_block(states)
+        gaps = marginal_gaps_block(states)
         assert gaps.min() >= 0.0 and gaps.max() <= 1.0
 
 
@@ -625,7 +626,7 @@ def test_ppt_fraction_constant_across_marginal_radius():
         wt = sp._gram_flat(sp._ginibre(4, rng, size).reshape(size, 16).T.copy())
         ppt = sp._ppt_decide_flat(wt, sp.PPT_TOL)[0]
         w = wt.T.reshape(size, 4, 4)
-        radius = sp._marginal_gaps_block(w / np.einsum("bii->b", w).real[:, None, None])
+        radius = marginal_gaps_block(w / np.einsum("bii->b", w).real[:, None, None])
         return np.stack([ppt, radius], axis=1)
 
     ppt, radius = sp._blocked_map(block, 1 << 20, 62, 1, (2,)).T

@@ -6,11 +6,13 @@ and rebuilt here with bare ring operations, independent of the integration
 machinery under test.
 """
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from reference import gap_integrand_pullback, support_polys
 from sepprob.exactmath import MultiPoly, compose, integrate_once, iterated_integrate
 from sepprob.sep_integral import (
     REGION_NAMES,
@@ -24,7 +26,6 @@ from sepprob.sep_integral import (
     conditioned_volume,
     gap_change_of_variables,
     gap_integrand,
-    gap_integrand_pullback,
     gap_piece,
     gap_piece_partials,
     gap_piece_sum,
@@ -36,7 +37,6 @@ from sepprob.sep_integral import (
     separability_probability,
     separable_slice_poly,
     separable_slice_volume,
-    support_polys,
     vandermonde_gap_poly,
 )
 
@@ -347,6 +347,134 @@ class TestRadialVolume:
 
         wrong_shell = SymbolicReal(integrate_once(wrong_moment, 0, 0, 1).evaluate([0]) / 2, 1)
         assert wrong_shell * ZERO_CONDITIONED_VOLUME != state_space_volume_hs(4)
+
+
+# -- the slice-volume exponent, in exact real coordinates --------------------
+#
+# A complex matrix re + i*im is held as its real form [[re, -im], [im, re]],
+# so products are real products and the adjoint is the transpose.
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _realify(re, im):
+    return [r + [-x for x in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
+
+
+def _herm_basis(n):
+    """A real basis of the n x n Hermitian matrices: E_jj, E_jk + E_kj and
+    i(E_jk - E_kj) for j < k, in the order ``_herm_coords`` reads."""
+    basis = []
+    for j in range(n):
+        for k in range(j, n):
+            for imaginary in (False, True) if j < k else (False,):
+                re, im = [[F(0)] * n for _ in range(n)], [[F(0)] * n for _ in range(n)]
+                if imaginary:
+                    im[j][k], im[k][j] = F(1), F(-1)
+                else:
+                    re[j][k] = re[k][j] = F(1)
+                basis.append(_realify(re, im))
+    return basis
+
+
+def _herm_coords(x, n):
+    """Coordinates of a Hermitian matrix (real form) in ``_herm_basis(n)``."""
+    return [x[n + j][k] if imaginary else x[j][k]
+            for j in range(n) for k in range(j, n) for imaginary in ((False, True) if j < k else (False,))]
+
+
+def _trace_b(x):
+    """Partial trace over the second qubit of a 4 x 4 matrix in real form."""
+    return [[sum(x[4 * (r // 2) + 2 * (r % 2) + b][2 * (c % 2) + b + 4 * (c // 2)] for b in range(2))
+             for c in range(4)] for r in range(4)]
+
+
+def _nullspace(rows):
+    """A basis of the null space of a Fraction matrix, from its reduced row echelon form."""
+    a, pivots = [list(r) for r in rows], []
+    for c in range(len(a[0])):
+        p = next((i for i in range(len(pivots), len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(len(a[0])) if c not in pivots):
+        v = [F(0)] * len(a[0])
+        v[free] = F(1)
+        for i, c in enumerate(pivots):
+            v[c] = -a[i][free]
+        basis.append(v)
+    return basis
+
+
+def _det(rows):
+    a, det = [list(r) for r in rows], F(1)
+    for c in range(len(a)):
+        p = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            a[c], a[p], det = a[p], a[c], -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            a[i] = [x - a[i][c] / a[c][c] * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def slice_map_determinant(m_re, m_im):
+    """Determinant of Phi(X) = (M (x) I) X (M (x) I)^dag on ker Tr_B, the
+    real 12-dimensional tangent space of a fixed-marginal slice."""
+    herm4 = _herm_basis(4)
+    constraints = _transpose([_herm_coords(_trace_b(e), 2) for e in herm4])
+    kernel = _nullspace(constraints)
+    assert len(kernel) == 12
+    eye = [[F(int(i == j)) for j in range(2)] for i in range(2)]
+
+    def kron_eye(m):
+        return [[m[i // 2][j // 2] * eye[i % 2][j % 2] for j in range(4)] for i in range(4)]
+
+    a = _realify(kron_eye(m_re), kron_eye(m_im))
+    images = []
+    for v in kernel:
+        x = [[sum(c * e[i][j] for c, e in zip(v, herm4)) for j in range(8)] for i in range(8)]
+        images.append(_herm_coords(_mul(_mul(a, x), _transpose(a)), 4))
+    # Phi(K) = K A for the kernel basis K (16 x 12), so det A = det(K^T Phi(K)) / det(K^T K).
+    return _det(_mul(kernel, _transpose(images))) / _det(_mul(kernel, _transpose(kernel)))
+
+
+class TestSliceVolumeExponent:
+    """conditioned_volume's (1 - a^2)^6: the determinant of the slice map on
+    ker Tr_B is |det M|^12, built and reduced in Fractions."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_determinant_is_twelfth_power(self, seed):
+        rng = random.Random(seed)
+        abs_det_sq = F(0)
+        while not abs_det_sq:
+            m_re, m_im = ([[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)] for _ in range(2)]
+                          for _ in range(2))
+            abs_det_sq = _det(_realify(m_re, m_im))  # the real form's determinant is |det M|^2
+        assert slice_map_determinant(m_re, m_im) == abs_det_sq**6
+
+    def test_scales_the_radius_zero_slice(self):
+        # M = diag(7, 1) / 5 has M M^dag / 2 = diag(49, 1) / 50, Bloch radius 24/25.
+        m_re = [[F(7, 5), F(0)], [F(0), F(1, 5)]]
+        zero = [[F(0)] * 2 for _ in range(2)]
+        det12 = slice_map_determinant(m_re, zero)
+        assert det12 == (1 - F(24, 25) ** 2) ** 6
+        assert conditioned_volume(F(24, 25)) == ZERO_CONDITIONED_VOLUME * det12
 
 
 class TestHalfBoundedIdentity:
