@@ -21,9 +21,9 @@ from . import volumes as vol
 from .exactmath import decimal_str, rational_from_str, rational_str
 from .volumes import Spectrum
 
-# numpy, and the modules built on it (checks, dh_density, sampling), are
-# imported by the verbs that use them, so `integrate` and `volumes` start
-# without it.
+# numpy, and the modules built on it (checks, sampling), are imported by the
+# verbs that use them, so `integrate`, `volumes`, `density` without
+# `--check-oracle` and `marginal` without `--samples` run without it.
 
 
 def _versions() -> dict:

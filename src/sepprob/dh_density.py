@@ -9,8 +9,9 @@ Three independent routes to the same planar density p(r, s):
 * a float oracle that measures the fiber polygon of the weight map directly.
 
 On top of that sit the marginal-gap objects: the support breakpoints derived
-from a centered spectrum, the compatibility polytope for marginal eigenvalue
-pairs, the exact one-variable gap density, and its quadrature oracle.
+from a centered spectrum, the exact one-variable gap density, and its
+quadrature oracle.  Only the float oracle uses numpy, and it imports it when
+called.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .exactmath import MultiPoly, residue_of_exp_over_linear_factors
 from .volumes import CenteredSpectrum, vandermonde
@@ -120,13 +119,6 @@ def convolution_density_jump(order: int = 8) -> PiecewiseChamberDensity:
     return PiecewiseChamberDensity(pieces)
 
 
-# Weight matrix: columns are the four distinct weights; the map sends the
-# positive orthant of R^4 onto the support cone in the plane.
-_WEIGHT_MATRIX = np.array(
-    [[w[0] for w in DISTINCT_WEIGHTS], [w[1] for w in DISTINCT_WEIGHTS]], dtype=float
-)
-
-
 def fiber_polytope_density(point: Sequence) -> float:
     """Float oracle: density of the pushed-forward orthant measure at ``point``.
 
@@ -134,8 +126,12 @@ def fiber_polytope_density(point: Sequence) -> float:
     divided by sqrt(det(A A^T)).  The fiber is cut out of an affine 2-plane
     spanned by an orthonormal kernel basis, so areas transfer directly.
     """
+    import numpy as np
+
+    # Weight matrix A: columns are the four distinct weights; it sends the
+    # positive orthant of R^4 onto the support cone in the plane.
+    a = np.array([[w[0] for w in DISTINCT_WEIGHTS], [w[1] for w in DISTINCT_WEIGHTS]], dtype=float)
     y = np.array([float(Fraction(point[0])), float(Fraction(point[1]))])
-    a = _WEIGHT_MATRIX
     coarea = np.sqrt(np.linalg.det(a @ a.T))
 
     u0, *_ = np.linalg.lstsq(a, y, rcond=None)
@@ -190,31 +186,6 @@ def marginal_support(centered: CenteredSpectrum) -> MarginalSupport:
     b2 = 2 * (l1 + l3)
     b1 = 2 * abs(l1 + l4)
     return MarginalSupport(b1, b2, b3)
-
-
-@dataclass(frozen=True)
-class MomentPolytope2Q:
-    """Compatibility region for marginal gap pairs (x, y) of a fixed spectrum.
-
-    Membership: 0 <= x, y <= b3, x + y <= b2 + b3, |x - y| <= b3 - b1.
-    """
-
-    support: MarginalSupport
-
-    def contains(self, x, y, tol: Fraction | float = 0) -> bool:
-        b1, b2, b3 = self.support
-        return (
-            x >= -tol
-            and y >= -tol
-            and x <= b3 + tol
-            and y <= b3 + tol
-            and x + y <= b2 + b3 + tol
-            and abs(x - y) <= b3 - b1 + tol
-        )
-
-
-def moment_polytope(support: MarginalSupport) -> MomentPolytope2Q:
-    return MomentPolytope2Q(support)
 
 
 @dataclass(frozen=True)

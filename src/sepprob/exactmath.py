@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: multivariate polynomials over the rationals,
-truncated Laurent series in one formal variable, and symbolic constants of the
-form q * pi**k * sqrt(m).
+residues of exp(L z) over products of linear factors in z, and symbolic
+constants of the form q * pi**k * sqrt(m).
 
 Rationals are plain ``fractions.Fraction`` (arbitrary precision; denominators
 like 15! appear downstream and must stay exact).  Polynomials map exponent
@@ -12,6 +12,9 @@ monomials.  Each call picks w as the bit length of a total-degree bound of its
 result, so no field can carry into the next.  Substitution has one kernel,
 ``_horner``; ``iterated_integrate`` carries (numerators, denominator) through
 every level and unpacks keys and builds Fractions once, on its result.
+A residue Res_{z=0} exp(L z) / prod_k (c_k + b_k z) with P zero constants is
+one coefficient: sum_{j<P} L**j / j! * s_{P-1-j} / prod_{c_k=0} b_k, where
+s_d are the scalar power-series coefficients of prod_{c_k!=0} 1/(c_k + b_k z).
 Variables are positional indices; the modules that build concrete expressions
 keep their own symbol tables.
 """
@@ -19,7 +22,7 @@ keep their own symbol tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, pi, sqrt
+from math import factorial, gcd, lcm, pi, prod, sqrt
 from typing import Mapping, Sequence
 
 Rational = Fraction
@@ -462,93 +465,6 @@ def iterated_integrate(
     return MultiPoly._trusted(p.arity, _fractions(num, den, p.arity, width))
 
 
-class LaurentSeries:
-    """Truncated Laurent series sum_{d=min_degree}^{truncation_order} c_d z**d.
-
-    Coefficients are MultiPoly values in the outer variables.  Only what the
-    residue extraction needs is implemented: multiplication, the exponential
-    of a linear form, and inverses of linear factors c + b*z.
-    """
-
-    __slots__ = ("arity", "min_degree", "truncation_order", "coeffs")
-
-    def __init__(self, arity: int, min_degree: int, coeffs: Sequence[MultiPoly], truncation_order: int):
-        if len(coeffs) != truncation_order - min_degree + 1:
-            raise ValueError("coefficient list length must be truncation_order - min_degree + 1")
-        self.arity = arity
-        self.min_degree = min_degree
-        self.truncation_order = truncation_order
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def one(cls, arity: int, order: int) -> "LaurentSeries":
-        coeffs = [MultiPoly.constant(arity, 1 if d == 0 else 0) for d in range(order + 1)]
-        return cls(arity, 0, coeffs, order)
-
-    @classmethod
-    def exp_linear(cls, exponent: MultiPoly, order: int) -> "LaurentSeries":
-        """exp(L * z) truncated at z**order, L a polynomial in the outer variables."""
-        coeffs = []
-        power = MultiPoly.constant(exponent.arity, 1)
-        for j in range(order + 1):
-            coeffs.append(power * Fraction(1, factorial(j)))
-            power = power * exponent
-        return cls(exponent.arity, 0, coeffs, order)
-
-    @classmethod
-    def inverse_linear(cls, arity: int, constant, z_coeff, order: int) -> "LaurentSeries":
-        """1 / (constant + z_coeff * z) as a truncated series.
-
-        Zero constant gives the single pole term z**-1 / z_coeff; otherwise a
-        geometric expansion around z = 0.
-        """
-        c = Fraction(constant)
-        b = Fraction(z_coeff)
-        if c == 0:
-            if b == 0:
-                raise ZeroDivisionError("factor is identically zero")
-            coeffs = [MultiPoly.constant(arity, Fraction(1) / b)]
-            coeffs += [MultiPoly.constant(arity, 0) for _ in range(order + 1)]
-            return cls(arity, -1, coeffs, order)
-        ratio = -b / c
-        coeffs = []
-        val = Fraction(1) / c
-        for _ in range(order + 1):
-            coeffs.append(MultiPoly.constant(arity, val))
-            val *= ratio
-        return cls(arity, 0, coeffs, order)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        order = min(self.truncation_order, other.truncation_order)
-        lo = self.min_degree + other.min_degree
-        out = [MultiPoly(self.arity) for _ in range(order - lo + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            da = self.min_degree + i
-            for j, b in enumerate(other.coeffs):
-                d = da + other.min_degree + j
-                if d > order:
-                    break
-                if b.is_zero:
-                    continue
-                out[d - lo] = out[d - lo] + a * b
-        return LaurentSeries(self.arity, lo, out, order)
-
-    def coefficient(self, degree: int) -> MultiPoly:
-        if degree < self.min_degree or degree > self.truncation_order:
-            return MultiPoly(self.arity)
-        return self.coeffs[degree - self.min_degree]
-
-    def residue(self) -> MultiPoly:
-        """Coefficient of z**-1; requires the window to cover degree -1."""
-        if self.min_degree > -1 or self.truncation_order < -1:
-            raise ValueError("series window does not include degree -1")
-        return self.coefficient(-1)
-
-
 def residue_of_exp_over_linear_factors(
     exponent: MultiPoly,
     factors: Sequence[tuple[Fraction | int, Fraction | int]],
@@ -557,19 +473,38 @@ def residue_of_exp_over_linear_factors(
     """Res_{z=0} [ exp(L*z) / prod_k (c_k + b_k z) ] as an exact polynomial.
 
     ``exponent`` is L, a polynomial in the outer variables; each factor is a
-    pair (constant, z-coefficient).  With no zero-constant factor there is no
-    pole and the residue is zero.  The truncation order must cover the pole
-    order; the default 8 is ample for pole order up to 3.
+    pair (constant, z-coefficient).  With P factors of zero constant the
+    function is exp(L z) s(z) / (B z**P), where B is the product of their
+    z-coefficients and s(z) = prod_{c != 0} 1 / (c + b z) has scalar
+    coefficients, expanded up to z**order.  The residue is then
+
+        sum_{j < P} L**j / j! * s_{P-1-j} / B.
+
+    With no pole (P = 0) the residue is zero; ``order`` must be at least P.
     """
-    pole_order = sum(1 for c, _ in factors if Fraction(c) == 0)
+    pairs = [(Fraction(c), Fraction(b)) for c, b in factors]
+    poles = [b for c, b in pairs if c == 0]
+    pole_order = len(poles)
     if pole_order == 0:
         return MultiPoly(exponent.arity)
     if order < pole_order:
         raise ValueError(f"truncation order {order} below pole order {pole_order}")
-    series = LaurentSeries.exp_linear(exponent, order)
-    for c, b in factors:
-        series = series * LaurentSeries.inverse_linear(exponent.arity, c, b, order)
-    return series.residue()
+    if 0 in poles:
+        raise ZeroDivisionError("factor is identically zero")
+    s = [Fraction(1)] + [Fraction(0)] * order
+    for c, b in pairs:
+        if c:  # s <- s / (c + b z): s_d = (s_d - b s_{d-1}) / c, d ascending
+            s[0] /= c
+            for d in range(1, order + 1):
+                s[d] = (s[d] - b * s[d - 1]) / c
+    scale = 1 / prod(poles)
+    residue = MultiPoly(exponent.arity)
+    power = MultiPoly.constant(exponent.arity, 1)
+    for j in range(pole_order):
+        if j:
+            power = power * exponent
+        residue = residue + power * (s[pole_order - 1 - j] * scale / factorial(j))
+    return residue
 
 
 def _square_free_split(n: int) -> tuple[int, int]:

@@ -2,16 +2,18 @@
 
 Each one restates, from first principles, a quantity that the package
 builds another way, so that a test can compare the two: the projected root
-weights, Bravyi's marginal compatibility test, the gap integrands built from
-the support breakpoints, and the marginal gap read from the partial trace of
-whole density matrices.
+weights, the compatibility polytope of marginal gap pairs and Bravyi's
+marginal compatibility test built on it, the gap integrands built from the
+support breakpoints, and the marginal gap read from the partial trace of whole
+density matrices.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from sepprob.dh_density import marginal_support, moment_polytope
+from sepprob.dh_density import MarginalSupport, marginal_support
 from sepprob.exactmath import MultiPoly
 from sepprob.sep_integral import T1, T2, T3, X
 
@@ -37,6 +39,31 @@ def weights_from_roots() -> list[tuple[int, int]]:
     Two of them, (-2, 0) and (0, -2), occur twice.
     """
     return sorted((-px, -py) for px, py in map(project_to_plane, POSITIVE_ROOTS_4))
+
+
+@dataclass(frozen=True)
+class MomentPolytope2Q:
+    """Compatibility region for marginal gap pairs (x, y) of a fixed spectrum.
+
+    Membership: 0 <= x, y <= b3, x + y <= b2 + b3, |x - y| <= b3 - b1.
+    """
+
+    support: MarginalSupport
+
+    def contains(self, x, y, tol: Fraction | float = 0) -> bool:
+        b1, b2, b3 = self.support
+        return (
+            x >= -tol
+            and y >= -tol
+            and x <= b3 + tol
+            and y <= b3 + tol
+            and x + y <= b2 + b3 + tol
+            and abs(x - y) <= b3 - b1 + tol
+        )
+
+
+def moment_polytope(support: MarginalSupport) -> MomentPolytope2Q:
+    return MomentPolytope2Q(support)
 
 
 def bravyi_compatible(global_spectrum, lam_min_a, lam_min_b, tol=0) -> bool:

@@ -63,7 +63,12 @@ _EXACT_VERBS_CHILD = """
 import contextlib, io, json, sys
 from sepprob.cli import main
 versions = []
-for argv in (["integrate", "--emit", "prob"], ["volumes", "--n", "4"]):
+for argv in (
+    ["integrate", "--emit", "prob"],
+    ["volumes", "--n", "4"],
+    ["density"],
+    ["marginal", "--spectrum", "0.45,0.27,0.18,0.10"],
+):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
@@ -78,7 +83,7 @@ def test_exact_verbs_run_without_numpy():
     proc = subprocess.run([sys.executable, "-c", _EXACT_VERBS_CHILD], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got == {"numpy_imported": False, "versions": [np.__version__] * 2}
+    assert got == {"numpy_imported": False, "versions": [np.__version__] * 4}
 
 
 class TestVolumesVerb:

@@ -4,7 +4,7 @@ one-variable gap density with its quadrature oracle."""
 import random
 from fractions import Fraction as F
 
-from reference import bravyi_compatible, project_to_plane, weights_from_roots
+from reference import bravyi_compatible, moment_polytope, project_to_plane, weights_from_roots
 from sepprob.dh_density import (
     CHAMBER_LABELS,
     DISTINCT_WEIGHTS,
@@ -16,7 +16,6 @@ from sepprob.dh_density import (
     marginal_gap_density,
     marginal_gap_density_numeric,
     marginal_support,
-    moment_polytope,
     total_gap_mass,
     vandermonde_over_twelve,
 )

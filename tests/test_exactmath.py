@@ -1,6 +1,7 @@
 """Exact-arithmetic substrate tests: ring behavior, calculus, residues,
 symbolic constants."""
 
+import cmath
 import random
 from fractions import Fraction as F
 from math import factorial, gcd
@@ -8,7 +9,6 @@ from math import factorial, gcd
 import pytest
 
 from sepprob.exactmath import (
-    LaurentSeries,
     MultiPoly,
     SymbolicReal,
     _fractions,
@@ -431,10 +431,45 @@ class TestLaurentResidue:
             b = residue_of_exp_over_linear_factors(exponent, factors, order=8)
             assert a == b
 
-    def test_series_window_guard(self):
-        series = LaurentSeries.one(2, 4)
-        with pytest.raises(ValueError):
-            series.residue()
+    def test_order_below_pole_order_raises(self):
+        with pytest.raises(ValueError, match="below pole order 3"):
+            residue_of_exp_over_linear_factors(x_(2, 0), [(0, 1), (0, 2), (0, -1), (1, 1)], order=2)
+
+    def test_identically_zero_factor_raises(self):
+        with pytest.raises(ZeroDivisionError, match="identically zero"):
+            residue_of_exp_over_linear_factors(x_(2, 0), [(0, 1), (0, 0), (2, 1)])
+
+    def test_matches_contour_trapezoid(self):
+        # Res = (1 / 2 pi i) times the contour integral over |z| = rho.  The
+        # trapezoid rule on N nodes aliases in only the Laurent coefficients
+        # of degree N - 1 and up, which rho <= half the nearest off-pole root
+        # makes negligible.  Random L, poles, off-pole factors and order.
+        rng = random.Random(11)
+        nodes = [cmath.exp(2j * cmath.pi * k / 128) for k in range(128)]
+        for _ in range(200):
+            coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+            exponent = MultiPoly.linear(2, coeffs[:2], coeffs[2])
+            pole_order = rng.randint(1, 4)
+            poles = [F(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3)) for _ in range(pole_order)]
+            factors = [(F(0), b) for b in poles]
+            factors += [
+                (F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)), F(rng.randint(-4, 4), rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 3))
+            ]
+            rng.shuffle(factors)
+            order = rng.randint(pole_order, 9)
+            point = [rng.randint(-9, 9) / 9 for _ in range(2)]
+            want = residue_of_exp_over_linear_factors(exponent, factors, order=order).evaluate_float(point)
+            rho = min([1.0] + [0.5 * abs(float(c / b)) for c, b in factors if c and b])
+            lval = exponent.evaluate_float(point)
+            total = 0j
+            for u in nodes:
+                z = rho * u
+                den = 1
+                for c, b in factors:
+                    den *= float(c) + float(b) * z
+                total += cmath.exp(lval * z) * z / den
+            assert abs(total / len(nodes) - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestSymbolicReal:

@@ -12,10 +12,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from reference import marginal_gaps_block
+from reference import marginal_gaps_block, moment_polytope
 from sepprob import sampling as sp
 from sepprob.checks import SPEC_45, conditioned_slices, gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
-from sepprob.dh_density import marginal_gap_density, marginal_support, moment_polytope
+from sepprob.dh_density import marginal_gap_density, marginal_support
 from sepprob.sep_integral import conditioned_volume, separable_slice_volume
 from sepprob.volumes import Spectrum
 
