@@ -38,12 +38,12 @@ def _versions() -> dict:
     return {"sepprob": __version__, "python": platform.python_version(), "numpy": numpy_version}
 
 
-def _report(command: str, results, seed=None, checks_list=None, t0: float | None = None) -> dict:
+def _report(command: str, results, t0: float, seed=None, checks_list=None) -> dict:
     rep = {
         "command": command,
         "versions": _versions(),
         "seed": seed,
-        "wall_clock_s": round(time.time() - t0, 3) if t0 is not None else None,
+        "wall_clock_s": round(time.time() - t0, 3),
         "results": results,
     }
     if checks_list is not None:
@@ -98,7 +98,7 @@ def cmd_volumes(args) -> int:
         "simplex_integral": rational_str(vol.simplex_vandermonde_integral(n)),
         "simplex_integral_decimal": decimal_str(float(vol.simplex_vandermonde_integral(n))),
     }
-    _emit(_report("volumes", results, t0=t0))
+    _emit(_report("volumes", results, t0))
     return 0
 
 
@@ -126,7 +126,7 @@ def cmd_density(args) -> int:
         "chambers": {label: closed.piece(label).to_json() for label in dh.CHAMBER_LABELS},
         "variables": ["r", "s"],
     }
-    _emit(_report("density", results, t0=t0))
+    _emit(_report("density", results, t0))
     return 0
 
 
@@ -199,7 +199,7 @@ def cmd_marginal(args) -> int:
         ],
         "total_mass": rational_str(density.integral()),
     }
-    _emit(_report("marginal", results, t0=t0))
+    _emit(_report("marginal", results, t0))
     return 0
 
 
@@ -252,7 +252,7 @@ def cmd_integrate(args) -> int:
     kind = args.emit
     if kind == "prob":
         p = si.separability_probability()
-        _emit(_report("integrate --emit prob", {"prob": rational_str(p), "decimal": decimal_str(float(p))}, t0=t0))
+        _emit(_report("integrate --emit prob", {"prob": rational_str(p), "decimal": decimal_str(float(p))}, t0))
         return 0
     if kind == "f":
         f = si.separable_slice_poly()
@@ -261,7 +261,7 @@ def cmd_integrate(args) -> int:
             "poly": f.poly.to_json(),
             "value_at_0": _sym_json(f.evaluate(0)),
         }
-        _emit(_report("integrate --emit f", results, t0=t0))
+        _emit(_report("integrate --emit f", results, t0))
         return 0
     k = int(kind[1])
     poly = si.gap_piece(k)
@@ -284,10 +284,10 @@ def cmd_sample(args) -> int:
     config = sp.SamplerConfig(seed=args.seed, count=args.n, tolerance=tol)
     if args.what == "sep":
         est = sp.estimate_sep_prob(config, threads=args.threads)
-        _emit(_report("sample sep", est._asdict(), seed=args.seed, t0=t0))
+        _emit(_report("sample sep", est._asdict(), t0, seed=args.seed))
         return 0
     stats = sp.conditioned_ppt_stats(args.a, config)
-    _emit(_report("sample conditioned", {"a": args.a, "n": args.n, **stats._asdict()}, seed=args.seed, t0=t0))
+    _emit(_report("sample conditioned", {"a": args.a, "n": args.n, **stats._asdict()}, t0, seed=args.seed))
     return 0
 
 
@@ -301,7 +301,7 @@ def cmd_verify(args) -> int:
         seconds = round(time.perf_counter() - start, 3)
         results.append({"name": name, "pass": bool(passed), "detail": detail, "seconds": seconds})
         start = time.perf_counter()
-    rep = _report("verify all", {"deep": args.deep}, seed=args.seed, checks_list=results, t0=t0)
+    rep = _report("verify all", {"deep": args.deep}, t0, seed=args.seed, checks_list=results)
     _emit(rep)
     return 0 if rep["pass"] else 1
 

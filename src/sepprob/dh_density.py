@@ -97,7 +97,7 @@ _WALL_CROSSINGS: list[tuple[str, Weight, tuple[int, int]]] = [
 WALL_PREFACTOR = Fraction(1, 2)
 
 
-def convolution_density_jump(order: int = 8) -> PiecewiseChamberDensity:
+def convolution_density_jump() -> PiecewiseChamberDensity:
     """Re-derive the chamber density by residue jumps across the three walls.
 
     Starting from zero outside the support, each crossing adds the residue of
@@ -113,7 +113,7 @@ def convolution_density_jump(order: int = 8) -> PiecewiseChamberDensity:
             for w in DISTINCT_WEIGHTS
             if w != wall_weight
         ]
-        jump = residue_of_exp_over_linear_factors(exponent, factors, order=order)
+        jump = residue_of_exp_over_linear_factors(exponent, factors)
         current = current + jump * WALL_PREFACTOR
         pieces[label] = current
     return PiecewiseChamberDensity(pieces)
@@ -352,14 +352,18 @@ def _adaptive_simpson(f, lo: float, hi: float, tol: float, depth: int = 24):
     return recurse(lo, hi, fa, fm, fb, whole, tol, depth)
 
 
-def marginal_gap_density_numeric(centered: CenteredSpectrum, x: float, tol: float = 1e-9) -> float:
+# Error budget of the quadrature oracle, summed over its Simpson intervals.
+_QUADRATURE_TOL = 1e-9
+
+
+def marginal_gap_density_numeric(centered: CenteredSpectrum, x: float) -> float:
     """Quadrature oracle for the marginal gap density at one point.
 
     Integrates x*y times the nine signed shifted copies of the planar density
     over y >= 0.  The integrand is piecewise quadratic in y, so the intervals
     are split at the shifted chamber walls before Simpson is applied; the
     adaptive pass is then exact up to rounding.  Raises if the error estimate
-    misses the requested tolerance.
+    exceeds ``_QUADRATURE_TOL``.
     """
     support = marginal_support(centered)
     b3 = float(support.b3)
@@ -384,11 +388,11 @@ def marginal_gap_density_numeric(centered: CenteredSpectrum, x: float, tol: floa
 
         cuts = sorted({0.0, y_hi} | {c for c in (b, b + r) if 0.0 < c < y_hi})
         for lo, hi in zip(cuts, cuts[1:]):
-            val, err = _adaptive_simpson(integrand, lo, hi, tol / 32.0)
+            val, err = _adaptive_simpson(integrand, lo, hi, _QUADRATURE_TOL / 32.0)
             total += sign * val
             err_total += err
-    if err_total > tol:
-        raise ArithmeticError(f"quadrature achieved {err_total:.3e}, wanted {tol:.3e}")
+    if err_total > _QUADRATURE_TOL:
+        raise ArithmeticError(f"quadrature achieved {err_total:.3e}, wanted {_QUADRATURE_TOL:.3e}")
     return total
 
 

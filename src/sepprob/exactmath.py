@@ -14,7 +14,8 @@ result, so no field can carry into the next.  Substitution has one kernel,
 every level and unpacks keys and builds Fractions once, on its result.
 A residue Res_{z=0} exp(L z) / prod_k (c_k + b_k z) with P zero constants is
 one coefficient: sum_{j<P} L**j / j! * s_{P-1-j} / prod_{c_k=0} b_k, where
-s_d are the scalar power-series coefficients of prod_{c_k!=0} 1/(c_k + b_k z).
+s_d are the scalar power-series coefficients of prod_{c_k!=0} 1/(c_k + b_k z),
+computed exactly up to d = P - 1 and no further.
 Variables are positional indices; the modules that build concrete expressions
 keep their own symbol tables.
 """
@@ -466,9 +467,7 @@ def iterated_integrate(
 
 
 def residue_of_exp_over_linear_factors(
-    exponent: MultiPoly,
-    factors: Sequence[tuple[Fraction | int, Fraction | int]],
-    order: int = 8,
+    exponent: MultiPoly, factors: Sequence[tuple[Fraction | int, Fraction | int]]
 ) -> MultiPoly:
     """Res_{z=0} [ exp(L*z) / prod_k (c_k + b_k z) ] as an exact polynomial.
 
@@ -476,26 +475,24 @@ def residue_of_exp_over_linear_factors(
     pair (constant, z-coefficient).  With P factors of zero constant the
     function is exp(L z) s(z) / (B z**P), where B is the product of their
     z-coefficients and s(z) = prod_{c != 0} 1 / (c + b z) has scalar
-    coefficients, expanded up to z**order.  The residue is then
+    coefficients, of which the residue reads s_0 .. s_{P-1}:
 
         sum_{j < P} L**j / j! * s_{P-1-j} / B.
 
-    With no pole (P = 0) the residue is zero; ``order`` must be at least P.
+    With no pole (P = 0) the residue is zero.
     """
     pairs = [(Fraction(c), Fraction(b)) for c, b in factors]
     poles = [b for c, b in pairs if c == 0]
     pole_order = len(poles)
     if pole_order == 0:
         return MultiPoly(exponent.arity)
-    if order < pole_order:
-        raise ValueError(f"truncation order {order} below pole order {pole_order}")
     if 0 in poles:
         raise ZeroDivisionError("factor is identically zero")
-    s = [Fraction(1)] + [Fraction(0)] * order
+    s = [Fraction(1)] + [Fraction(0)] * (pole_order - 1)
     for c, b in pairs:
         if c:  # s <- s / (c + b z): s_d = (s_d - b s_{d-1}) / c, d ascending
             s[0] /= c
-            for d in range(1, order + 1):
+            for d in range(1, pole_order):
                 s[d] = (s[d] - b * s[d - 1]) / c
     scale = 1 / prod(poles)
     residue = MultiPoly(exponent.arity)

@@ -82,15 +82,16 @@ class SamplerConfig:
             raise ValueError("tolerance must be positive and finite")
 
 
-def is_valid_density_matrix(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Hermitian within 1e-12, unit trace within 1e-12, spectrum >= -tol."""
+def is_valid_density_matrix(rho: np.ndarray) -> bool:
+    """Hermitian within HERMITICITY_TOL, unit trace within TRACE_TOL, and
+    spectrum >= -PSD_TOL."""
     if rho.shape[0] != rho.shape[1]:
         return False
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         return False
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
         return False
-    return float(np.linalg.eigvalsh(rho)[0]) >= -tol
+    return float(np.linalg.eigvalsh(rho)[0]) >= -PSD_TOL
 
 
 def _ginibre(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -144,9 +145,7 @@ def _hs_random_block(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 def hs_random_states(n: int, count: int, seed: int, threads: int = 1) -> np.ndarray:
     """Batch of flat-measure states, reproducible regardless of thread count."""
-    return _blocked_map(
-        lambda rng, size: _hs_random_block(n, rng, size), count, seed, threads, (n, n)
-    )
+    return _blocked_map(lambda rng, size: _hs_random_block(n, rng, size), count, seed, threads)
 
 
 def _cgs2(cols: np.ndarray) -> np.ndarray:
@@ -268,13 +267,16 @@ def is_ppt(rho: np.ndarray, tol: float = PPT_TOL) -> bool:
     return bool(_ppt_decide(rho[None], tol)[0][0])
 
 
-def _blocked_map(fn, count: int, seed: int, threads: int, tail_shape, first_stream: int = 0) -> np.ndarray:
+def _blocked_map(fn, count: int, seed: int, threads: int, first_stream: int = 0) -> np.ndarray:
     """Run ``fn(rng, size)`` over fixed-size blocks, block i on the stream
-    (seed, first_stream + i).
+    (seed, first_stream + i), and concatenate the outputs.
 
     Block boundaries and stream keys depend only on (seed, count), so the
-    concatenated output is identical for any thread count.
+    concatenated output is identical for any thread count.  ``count`` must be
+    at least 1, as in ``SamplerConfig``.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     blocks = [(i, min(_BLOCK, count - i * _BLOCK)) for i in range((count + _BLOCK - 1) // _BLOCK)]
 
     def run(block):
@@ -286,7 +288,7 @@ def _blocked_map(fn, count: int, seed: int, threads: int, tail_shape, first_stre
             parts = list(pool.map(run, blocks))
     else:
         parts = [run(b) for b in blocks]
-    return np.concatenate(parts) if parts else np.empty((0, *tail_shape), dtype=complex)
+    return np.concatenate(parts)
 
 
 class SepEstimate(NamedTuple):
@@ -330,7 +332,7 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
             counts += [np.count_nonzero(ppt), np.count_nonzero(band)]
         return counts
 
-    counts = _blocked_map(block_stats, config.count, config.seed, threads, (2,))
+    counts = _blocked_map(block_stats, config.count, config.seed, threads)
     ppt = int(counts[:, 0].sum())
     band = int(counts[:, 1].sum())
     frac = ppt / config.count
@@ -395,7 +397,7 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
             del u  # else this chunk stays alive while the next one is drawn
         return out
 
-    return _blocked_map(block, count, seed, threads, ())
+    return _blocked_map(block, count, seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +588,7 @@ def conditioned_ppt_stats(a: float, config: SamplerConfig) -> ConditionedStats:
     def block_stats(rng, size):
         return np.sum([chunk_counts(gt) for _, gt in _ginibre_chunks(rng, size)], axis=0, keepdims=True)
 
-    counts = _blocked_map(block_stats, config.count, config.seed, 1, (4,), _SLICE_STREAMS).sum(axis=0)
+    counts = _blocked_map(block_stats, config.count, config.seed, 1, _SLICE_STREAMS).sum(axis=0)
     ppt, indeterminate, in_band, agree = (int(c) for c in counts)
     frac, outside = ppt / config.count, config.count - in_band
     stderr = math.sqrt(frac * (1.0 - frac) / config.count)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .exactmath import (
     MultiPoly,
@@ -208,16 +208,17 @@ def region_volume(name: str, at_x) -> Fraction:
     return vol.evaluate([xv])
 
 
-def region_bounds_ordered(name: str, at_x, samples: int = 4) -> bool:
+_BOUND_SAMPLES = 4
+
+
+def region_bounds_ordered(name: str, at_x) -> bool:
     """Spot-check lower <= upper for every bound pair at a fixed x.
 
-    Walks the bounds outermost first, sampling each variable on a rational
-    grid inside its own range.
+    Walks the bounds outermost first, sampling each variable at
+    ``_BOUND_SAMPLES`` evenly spaced rational points of its own range.
     """
     if name == "R":
-        return region_bounds_ordered("Delta3", at_x, samples) and region_bounds_ordered(
-            "R2a", at_x, samples
-        )
+        return region_bounds_ordered("Delta3", at_x) and region_bounds_ordered("R2a", at_x)
     xv = Fraction(at_x)
     bounds = list(reversed(_bounds(name)))
 
@@ -229,10 +230,9 @@ def region_bounds_ordered(name: str, at_x, samples: int = 4) -> bool:
         hi = upper.evaluate(point)
         if lo > hi:
             return False
-        for i in range(samples):
-            value = lo + (hi - lo) * _F(i, samples - 1) if samples > 1 else lo
+        for i in range(_BOUND_SAMPLES):
             nxt = list(point)
-            nxt[var] = value
+            nxt[var] = lo + (hi - lo) * _F(i, _BOUND_SAMPLES - 1)
             if not walk(level + 1, nxt):
                 return False
         return True
@@ -252,19 +252,11 @@ def gap_piece_partials(k: int) -> dict[str, MultiPoly]:
     }
 
 
-def gap_piece(k: int, order: Sequence[int] | None = None) -> MultiPoly:
-    """The k-th partial integral as an exact univariate polynomial in x.
-
-    ``order`` optionally permutes the summation order of the signed
-    subregions; the result is independent of it.
-    """
-    partials = list(gap_piece_partials(k).values())
-    if order is not None:
-        if sorted(order) != list(range(len(partials))):
-            raise ValueError("order must permute the subregion indices")
-        partials = [partials[i] for i in order]
+def gap_piece(k: int) -> MultiPoly:
+    """The k-th partial integral as an exact univariate polynomial in x: the
+    sum of the signed subregion contributions of ``gap_piece_partials``."""
     total = MultiPoly(1)
-    for p in partials:
+    for p in gap_piece_partials(k).values():
         total = total + p
     return total
 
@@ -291,9 +283,6 @@ class RadialVolumePoly:
     def evaluate(self, a) -> SymbolicReal:
         value = self.poly.evaluate([Fraction(a)])
         return self.prefactor * value
-
-    def to_float(self, a: float) -> float:
-        return self.prefactor.to_float() * self.poly.evaluate_float([a])
 
 
 def _content(p: MultiPoly) -> Fraction:

@@ -270,7 +270,7 @@ class TestVerifyVerb:
         names = [c["name"] for c in rep["checks"]]
         pinned = json.loads((GOLDEN / "verify_all.json").read_text())["checks"]
         assert names == [c["name"] for c in pinned]
-        assert len(names) == len(set(names)) >= 18
+        assert len(names) == len(set(names)) >= 17
         assert all(c["pass"] for c in rep["checks"])
         assert rep["seed"] == 42 and rep["wall_clock_s"] is not None
 

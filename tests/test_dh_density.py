@@ -104,9 +104,6 @@ class TestJumpDerivation:
         assert jump.piece("C3") == jump.piece("C2") + (r - s) ** 2 / 64
         assert jump.piece("C3") == r * r / 32
 
-    def test_truncation_order_insensitive(self):
-        assert convolution_density_jump(order=4) == convolution_density_jump(order=12)
-
 
 class TestFiberOracle:
     def test_known_point(self):

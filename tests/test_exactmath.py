@@ -421,20 +421,6 @@ class TestLaurentResidue:
         res = residue_of_exp_over_linear_factors(r, [(0, 1), (0, 1), (1, 1)])
         assert res == r - 1
 
-    def test_truncation_insensitivity(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            exponent = random_poly(rng, 2, 1)
-            factors = [(F(0), F(rng.choice([-4, -2, 2, 4]))) for _ in range(3)]
-            factors.append((F(rng.choice([1, 2])), F(rng.randint(-3, 3))))
-            a = residue_of_exp_over_linear_factors(exponent, factors, order=4)
-            b = residue_of_exp_over_linear_factors(exponent, factors, order=8)
-            assert a == b
-
-    def test_order_below_pole_order_raises(self):
-        with pytest.raises(ValueError, match="below pole order 3"):
-            residue_of_exp_over_linear_factors(x_(2, 0), [(0, 1), (0, 2), (0, -1), (1, 1)], order=2)
-
     def test_identically_zero_factor_raises(self):
         with pytest.raises(ZeroDivisionError, match="identically zero"):
             residue_of_exp_over_linear_factors(x_(2, 0), [(0, 1), (0, 0), (2, 1)])
@@ -443,7 +429,7 @@ class TestLaurentResidue:
         # Res = (1 / 2 pi i) times the contour integral over |z| = rho.  The
         # trapezoid rule on N nodes aliases in only the Laurent coefficients
         # of degree N - 1 and up, which rho <= half the nearest off-pole root
-        # makes negligible.  Random L, poles, off-pole factors and order.
+        # makes negligible.  Random L, poles and off-pole factors.
         rng = random.Random(11)
         nodes = [cmath.exp(2j * cmath.pi * k / 128) for k in range(128)]
         for _ in range(200):
@@ -457,9 +443,8 @@ class TestLaurentResidue:
                 for _ in range(rng.randint(0, 3))
             ]
             rng.shuffle(factors)
-            order = rng.randint(pole_order, 9)
             point = [rng.randint(-9, 9) / 9 for _ in range(2)]
-            want = residue_of_exp_over_linear_factors(exponent, factors, order=order).evaluate_float(point)
+            want = residue_of_exp_over_linear_factors(exponent, factors).evaluate_float(point)
             rho = min([1.0] + [0.5 * abs(float(c / b)) for c, b in factors if c and b])
             lval = exponent.evaluate_float(point)
             total = 0j

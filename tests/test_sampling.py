@@ -629,7 +629,7 @@ def test_ppt_fraction_constant_across_marginal_radius():
         radius = marginal_gaps_block(w / np.einsum("bii->b", w).real[:, None, None])
         return np.stack([ppt, radius], axis=1)
 
-    ppt, radius = sp._blocked_map(block, 1 << 20, 62, 1, (2,)).T
+    ppt, radius = sp._blocked_map(block, 1 << 20, 62, 1).T
     bins = np.digitize(radius, [0.2, 0.4, 0.6])
     for b in range(4):
         inside = ppt[bins == b]
@@ -649,3 +649,19 @@ class TestConfigValidation:
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError):
             sp.SamplerConfig(seed=1, count=10, tolerance=tol)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: sp.fixed_spectrum_gaps([0.45, 0.27, 0.18, 0.10], 0, 1),
+            lambda: sp.fixed_spectrum_gaps([0.45, 0.27, 0.18, 0.10], -3, 1),
+            lambda: sp.hs_random_states(4, -2, 1),
+            lambda: marginal_histogram(SPEC_45, 0, 1),
+        ],
+        ids=["gaps-zero", "gaps-negative", "states-negative", "histogram-zero"],
+    )
+    def test_batch_samplers_reject_counts_below_one(self, draw):
+        # As SamplerConfig does: no empty (or complex) batch, no division by
+        # a zero count further down.
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            draw()
