@@ -27,14 +27,18 @@ from .volumes import Spectrum
 
 
 def _versions() -> dict:
-    """Package versions; numpy's comes from its metadata when it is not loaded."""
+    """Package versions; numpy's comes from its metadata when it is not
+    loaded, and is None when numpy is not installed."""
     np = sys.modules.get("numpy")
     if np is not None:
         numpy_version = np.__version__
     else:
-        from importlib.metadata import version
+        from importlib.metadata import PackageNotFoundError, version
 
-        numpy_version = version("numpy")
+        try:
+            numpy_version = version("numpy")
+        except PackageNotFoundError:
+            numpy_version = None
     return {"sepprob": __version__, "python": platform.python_version(), "numpy": numpy_version}
 
 

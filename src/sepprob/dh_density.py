@@ -324,8 +324,9 @@ def _signed_shifts(support: MarginalSupport) -> list[tuple[Fraction, Fraction, i
     ]
 
 
-def _adaptive_simpson(f, lo: float, hi: float, tol: float, depth: int = 24):
-    """Classic adaptive Simpson; returns (value, error_estimate)."""
+def _adaptive_simpson(f, lo: float, hi: float):
+    """Classic adaptive Simpson to ``_SIMPSON_TOL`` within ``_SIMPSON_DEPTH``
+    bisections; returns (value, error_estimate)."""
 
     def simpson(a, b, fa, fm, fb):
         return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -349,11 +350,14 @@ def _adaptive_simpson(f, lo: float, hi: float, tol: float, depth: int = 24):
     m = 0.5 * (lo + hi)
     fm = f(m)
     whole = simpson(lo, hi, fa, fm, fb)
-    return recurse(lo, hi, fa, fm, fb, whole, tol, depth)
+    return recurse(lo, hi, fa, fm, fb, whole, _SIMPSON_TOL, _SIMPSON_DEPTH)
 
 
-# Error budget of the quadrature oracle, summed over its Simpson intervals.
+# Error budget of the quadrature oracle, summed over its Simpson intervals,
+# and the share and bisection depth of each interval.
 _QUADRATURE_TOL = 1e-9
+_SIMPSON_TOL = _QUADRATURE_TOL / 32.0
+_SIMPSON_DEPTH = 24
 
 
 def marginal_gap_density_numeric(centered: CenteredSpectrum, x: float) -> float:
@@ -388,7 +392,7 @@ def marginal_gap_density_numeric(centered: CenteredSpectrum, x: float) -> float:
 
         cuts = sorted({0.0, y_hi} | {c for c in (b, b + r) if 0.0 < c < y_hi})
         for lo, hi in zip(cuts, cuts[1:]):
-            val, err = _adaptive_simpson(integrand, lo, hi, _QUADRATURE_TOL / 32.0)
+            val, err = _adaptive_simpson(integrand, lo, hi)
             total += sign * val
             err_total += err
     if err_total > _QUADRATURE_TOL:

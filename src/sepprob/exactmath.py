@@ -9,7 +9,9 @@ bit-exact.  Products, substitutions and definite integrals run on integer
 numerators over one common denominator, keyed by packed monomials: exponent i
 of a term sits in bits [i*w, (i+1)*w) of one int, so adding keys multiplies
 monomials.  Each call picks w as the bit length of a total-degree bound of its
-result, so no field can carry into the next.  Substitution has one kernel,
+result, so no field can carry into the next.  Products have one kernel,
+``product``: ``*`` and ``**`` call it, and it multiplies a whole chain of
+factors before it builds any Fraction.  Substitution has one kernel,
 ``_horner``; ``iterated_integrate`` carries (numerators, denominator) through
 every level and unpacks keys and builds Fractions once, on its result.
 A residue Res_{z=0} exp(L z) / prod_k (c_k + b_k z) with P zero constants is
@@ -114,6 +116,30 @@ def _horner(groups: dict[int, IntTerms], num: IntTerms, den: int) -> tuple[IntTe
     return h, scale
 
 
+def product(factors: Sequence["MultiPoly"], scale=1) -> "MultiPoly":
+    """scale * factors[0] * ... * factors[-1]: the one polynomial-product kernel.
+
+    The chain runs on integer numerators with packed keys, over the product
+    of the factors' common denominators, and builds one reduced Fraction per
+    term of the result.  No factors, or factors of mixed arity, raise
+    ValueError.
+    """
+    if not factors:
+        raise ValueError("product of no factors")
+    arity = factors[0].arity
+    if any(f.arity != arity for f in factors):
+        raise ValueError(f"arity mismatch: {sorted({f.arity for f in factors})}")
+    scale = Fraction(scale)
+    width = _width(sum(f.degree() for f in factors))
+    num, den = {0: scale.numerator}, scale.denominator
+    for f in factors:
+        fnum, fden = _int_form(f, width)
+        acc: IntTerms = {}
+        _int_mul_into(acc, num, fnum)
+        num, den = acc, den * fden
+    return MultiPoly._trusted(arity, _fractions(num, den, arity, width))
+
+
 class MultiPoly:
     """Multivariate polynomial with exact rational coefficients.
 
@@ -171,13 +197,15 @@ class MultiPoly:
 
     @classmethod
     def linear(cls, arity: int, coeffs: Mapping[int, Fraction] | Sequence, const=0) -> "MultiPoly":
-        """Affine form const + sum coeffs[i] * x_i."""
+        """Affine form const + sum coeffs[i] * x_i, built straight from its coefficients."""
         if not isinstance(coeffs, Mapping):
             coeffs = dict(enumerate(coeffs))
-        p = cls.constant(arity, const)
+        terms = {(0,) * arity: Fraction(const)}
         for i, c in coeffs.items():
-            p = p + cls.variable(arity, i) * Fraction(c)
-        return p
+            if not 0 <= i < arity:
+                raise ValueError(f"variable index {i} out of range for arity {arity}")
+            terms[(0,) * i + (1,) + (0,) * (arity - i - 1)] = Fraction(c)
+        return cls._trusted(arity, terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -208,22 +236,11 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "MultiPoly":
-        """Product with a scalar or a polynomial.
-
-        A polynomial product convolves the integer numerators of both factors
-        on packed keys, over the product of their common denominators, then
-        builds one reduced Fraction per output term.
-        """
+        """Product with a scalar, or with a polynomial through :func:`product`."""
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
             return MultiPoly._trusted(self.arity, {e: k * c for e, k in self.terms.items()})
-        self._check_arity(other)
-        width = _width(self.degree() + other.degree())
-        nl, dl = _int_form(self, width)
-        nr, dr = _int_form(other, width)
-        acc: IntTerms = {}
-        _int_mul_into(acc, nl, nr)
-        return MultiPoly._trusted(self.arity, _fractions(acc, dl * dr, self.arity, width))
+        return product((self, other))
 
     __rmul__ = __mul__
 
@@ -236,14 +253,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = MultiPoly.constant(self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return product((self,) * n) if n else MultiPoly.constant(self.arity, 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):

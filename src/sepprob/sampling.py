@@ -259,12 +259,12 @@ def _ppt_decide(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return _ppt_decide_flat(w.reshape(len(w), 16).T, tol)
 
 
-def is_ppt(rho: np.ndarray, tol: float = PPT_TOL) -> bool:
+def is_ppt(rho: np.ndarray) -> bool:
     """Peres-Horodecki test: partial transpose positive semidefinite up to
-    ``tol``.  For two qubits this decides separability exactly.  ``rho`` must
-    be a 4x4 density matrix; ``tol`` bounds its smallest transposed
-    eigenvalue as in ``SamplerConfig.tolerance``."""
-    return bool(_ppt_decide(rho[None], tol)[0][0])
+    ``PPT_TOL``.  For two qubits this decides separability exactly.  ``rho``
+    must be a 4x4 density matrix; ``PPT_TOL`` bounds its smallest transposed
+    eigenvalue as the default ``SamplerConfig.tolerance`` does."""
+    return bool(_ppt_decide(rho[None], PPT_TOL)[0][0])
 
 
 def _blocked_map(fn, count: int, seed: int, threads: int, first_stream: int = 0) -> np.ndarray:

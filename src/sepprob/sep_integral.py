@@ -24,6 +24,7 @@ from .exactmath import (
     extract_univariate,
     integrate_once,
     iterated_integrate,
+    product,
 )
 from .volumes import state_space_volume_hs
 
@@ -32,14 +33,6 @@ from .volumes import state_space_volume_hs
 X, T1, T2, T3 = 0, 1, 2, 3
 
 _F = Fraction
-
-
-def _v(i: int) -> MultiPoly:
-    return MultiPoly.variable(4, i)
-
-
-def _c(q) -> MultiPoly:
-    return MultiPoly.constant(4, q)
 
 
 class ChangeOfVariables(NamedTuple):
@@ -87,16 +80,46 @@ def gap_change_of_variables() -> ChangeOfVariables:
     return ChangeOfVariables(tuple(forward), inverse, abs(det))
 
 
+def _affine(const=0, x=0, t1=0, t2=0, t3=0) -> MultiPoly:
+    """const + x*X + t1*T1 + t2*T2 + t3*T3, built straight from its coefficients."""
+    return MultiPoly.linear(4, {X: x, T1: t1, T2: t2, T3: t3}, const)
+
+
+def _vandermonde_factors() -> tuple[list[MultiPoly], Fraction]:
+    """The Vandermonde in gap coordinates as affine factors and a scale:
+    t1*t2*t3*(2t1+t2)*(3t2+2t3)*(6t1+3t2+2t3) / 432."""
+    gaps = [_affine(t1=1), _affine(t2=1), _affine(t3=1)]
+    return gaps + [_affine(t1=2, t2=1), _affine(t2=3, t3=2), _affine(t1=6, t2=3, t3=2)], _F(1, 432)
+
+
+def _contribution_factors(k: int, branch: str | None) -> tuple[list[MultiPoly], Fraction]:
+    """The k-th gap-density contribution as affine factors and a scale; see
+    :func:`gap_integrand`."""
+    x = _affine(x=1)
+    if k == 1:
+        if branch not in ("pos", "neg"):
+            raise ValueError("contribution 1 needs branch 'pos' or 'neg'")
+        sign = 1 if branch == "pos" else -1
+        gap = _affine(x=-1, t1=sign, t3=_F(-sign, 3))  # (t1 - t3/3) - x, sign-resolved
+        return [_affine(t2=1), _affine(t1=1, t2=_F(1, 2), t3=_F(1, 3)), gap, gap, x], _F(1, 32)
+    if branch is not None:
+        raise ValueError("only contribution 1 has branches")
+    if k == 2:
+        gap = _affine(x=-1, t1=1, t3=_F(1, 3))
+        return [_affine(t1=1, t2=_F(1, 2)), _affine(t2=_F(1, 2), t3=_F(1, 3)), gap, gap, x], _F(-1, 16)
+    if k == 3:
+        gap = _affine(x=-1, t1=1, t2=1, t3=_F(1, 3))
+        return [_affine(t1=1), _affine(t3=1), gap, gap, x], _F(1, 48)
+    raise ValueError("contribution index must be 1, 2 or 3")
+
+
 @lru_cache(maxsize=None)
 def vandermonde_gap_poly() -> MultiPoly:
     """Spectrum Vandermonde in gap coordinates (cached; MultiPoly is immutable).
 
     t1*t2*t3*(2t1+t2)*(3t2+2t3)*(6t1+3t2+2t3) / 432, expanded.
     """
-    t1, t2, t3 = _v(T1), _v(T2), _v(T3)
-    return (
-        t1 * t2 * t3 * (t1 * 2 + t2) * (t2 * 3 + t3 * 2) * (t1 * 6 + t2 * 3 + t3 * 2) / 432
-    )
+    return product(*_vandermonde_factors())
 
 
 def gap_integrand(k: int, branch: str | None = None) -> MultiPoly:
@@ -105,71 +128,66 @@ def gap_integrand(k: int, branch: str | None = None) -> MultiPoly:
     k = 1 comes in two sign-resolved variants: branch "pos" for the part of
     the region where t1 - t3/3 >= x and "neg" where t1 - t3/3 <= -x.  The
     k = 2 contribution carries a negative prefactor; it subtracts mass.
+
+        k = 1:  t2 (t1 + t2/2 + t3/3) (+-(t1 - t3/3) - x)**2 x / 32
+        k = 2:  -(t1 + t2/2) (t2/2 + t3/3) (t1 + t3/3 - x)**2 x / 16
+        k = 3:  t1 t3 (t1 + t2 + t3/3 - x)**2 x / 48
     """
-    x = _v(X)
-    t1, t2, t3 = _v(T1), _v(T2), _v(T3)
-    if k == 1:
-        if branch not in ("pos", "neg"):
-            raise ValueError("contribution 1 needs branch 'pos' or 'neg'")
-        signed = (t1 - t3 / 3) if branch == "pos" else (t3 / 3 - t1)
-        return t2 * (t1 + t2 / 2 + t3 / 3) / 32 * (signed - x) ** 2 * x
-    if branch is not None:
-        raise ValueError("only contribution 1 has branches")
-    if k == 2:
-        return -(t1 + t2 / 2) * (t2 / 2 + t3 / 3) / 16 * (t1 + t3 / 3 - x) ** 2 * x
-    if k == 3:
-        return t1 * t3 / 48 * (t1 + t2 + t3 / 3 - x) ** 2 * x
-    raise ValueError("contribution index must be 1, 2 or 3")
+    return product(*_contribution_factors(k, branch))
 
 
-# Iterated integration bounds, innermost triple first.  Each bound is linear
+def _full_integrand(k: int, branch: str | None) -> MultiPoly:
+    """Vandermonde times the k-th contribution, as one product chain."""
+    vandermonde, v_scale = _vandermonde_factors()
+    contribution, c_scale = _contribution_factors(k, branch)
+    return product(vandermonde + contribution, v_scale * c_scale)
+
+
+# Iterated integration bounds, innermost triple first.  Each bound is affine
 # and may depend on x and on the not-yet-integrated gap variables only.
 def _bounds(name: str) -> list[tuple[int, MultiPoly, MultiPoly]]:
-    x = _v(X)
-    t1, t2, t3 = _v(T1), _v(T2), _v(T3)
-    zero = _c(0)
-    one = _c(1)
+    zero = _affine()
     if name == "R1a":
         return [
-            (T1, x + t3 / 3, one / 3 - t2 / 3 - t3 / 9),
-            (T2, zero, one - x * 3 - t3 * _F(4, 3)),
-            (T3, zero, (one - x * 3) * _F(3, 4)),
+            (T1, _affine(x=1, t3=_F(1, 3)), _affine(_F(1, 3), t2=_F(-1, 3), t3=_F(-1, 9))),
+            (T2, zero, _affine(1, x=-3, t3=_F(-4, 3))),
+            (T3, zero, _affine(_F(3, 4), x=_F(-9, 4))),
         ]
     if name == "R1b":
         return [
-            (T3, x * 3 + t1 * 3, one - t1 - t2),
-            (T1, zero, (one - x * 3 - t2) / 4),
-            (T2, zero, one - x * 3),
+            (T3, _affine(x=3, t1=3), _affine(1, t1=-1, t2=-1)),
+            (T1, zero, _affine(_F(1, 4), x=_F(-3, 4), t2=_F(-1, 4))),
+            (T2, zero, _affine(1, x=-3)),
         ]
     if name == "Delta3":
         return [
-            (T1, zero, one - t2 - t3),
-            (T2, zero, one - t3),
-            (T3, zero, one),
+            (T1, zero, _affine(1, t2=-1, t3=-1)),
+            (T2, zero, _affine(1, t3=-1)),
+            (T3, zero, _affine(1)),
         ]
     if name in ("R2a", "R3a"):
         return [
-            (T1, one / 3 - t2 / 3 - t3 / 9, one - t2 - t3),
-            (T2, zero, one - t3 * _F(4, 3)),
-            (T3, zero, _c(_F(3, 4))),
+            (T1, _affine(_F(1, 3), t2=_F(-1, 3), t3=_F(-1, 9)), _affine(1, t2=-1, t3=-1)),
+            (T2, zero, _affine(1, t3=_F(-4, 3))),
+            (T3, zero, _affine(_F(3, 4))),
         ]
     if name == "R2b":
         return [
-            (T2, zero, one - t1 - t3),
-            (T1, zero, x - t3 / 3),
-            (T3, zero, x * 3),
+            (T2, zero, _affine(1, t1=-1, t3=-1)),
+            (T1, zero, _affine(x=1, t3=_F(-1, 3))),
+            (T3, zero, _affine(x=3)),
         ]
     if name == "R2ab":
         return [
-            (T2, one - t1 * 3 - t3 / 3, one - t1 - t3),
-            (T1, t3 / 3, x - t3 / 3),
-            (T3, zero, x * _F(3, 2)),
+            (T2, _affine(1, t1=-3, t3=_F(-1, 3)), _affine(1, t1=-1, t3=-1)),
+            (T1, _affine(t3=_F(1, 3)), _affine(x=1, t3=_F(-1, 3))),
+            (T3, zero, _affine(x=_F(3, 2))),
         ]
     if name == "R3b":
         return [
-            (T1, zero, x - t2 - t3 / 3),
-            (T2, zero, x - t3 / 3),
-            (T3, zero, x * 3),
+            (T1, zero, _affine(x=1, t2=-1, t3=_F(-1, 3))),
+            (T2, zero, _affine(x=1, t3=_F(-1, 3))),
+            (T3, zero, _affine(x=3)),
         ]
     raise ValueError(f"unknown region {name!r}")
 
@@ -204,7 +222,7 @@ def region_volume(name: str, at_x) -> Fraction:
     xv = Fraction(at_x)
     if name == "R":
         return region_volume("Delta3", xv) - region_volume("R2a", xv)
-    vol = region_integral(name, _c(1))
+    vol = region_integral(name, _affine(1))
     return vol.evaluate([xv])
 
 
@@ -245,7 +263,7 @@ def gap_piece_partials(k: int) -> dict[str, MultiPoly]:
     """Signed per-region contributions to the k-th partial integral; each
     distinct integrand (one per branch) is built once."""
     branches = {branch for _, _, branch in REGION_DECOMPOSITION[k]}
-    integrands = {b: vandermonde_gap_poly() * gap_integrand(k, b) for b in branches}
+    integrands = {b: _full_integrand(k, b) for b in branches}
     return {
         name: region_integral(name, integrands[branch]) * (sign * _MEASURE_FACTOR)
         for name, sign, branch in REGION_DECOMPOSITION[k]
@@ -381,10 +399,5 @@ def centered_vandermonde_in_gaps_matches() -> bool:
             product = product * (change.forward[i] - change.forward[j])
     # The forward map lives in (t1..t4) with indices 0..3; shift into the
     # integrand variable layout (x, t1, t2, t3) where t4 = 1 - t1 - t2 - t3.
-    t_in_layout = [
-        _v(T1),
-        _v(T2),
-        _v(T3),
-        _c(1) - _v(T1) - _v(T2) - _v(T3),
-    ]
+    t_in_layout = [_affine(t1=1), _affine(t2=1), _affine(t3=1), _affine(1, t1=-1, t2=-1, t3=-1)]
     return compose(product, t_in_layout) == vandermonde_gap_poly()

@@ -4,8 +4,9 @@ Each one restates, from first principles, a quantity that the package
 builds another way, so that a test can compare the two: the projected root
 weights, the compatibility polytope of marginal gap pairs and Bravyi's
 marginal compatibility test built on it, the gap integrands built from the
-support breakpoints, and the marginal gap read from the partial trace of whole
-density matrices.
+support breakpoints, the Vandermonde, gap integrands and region bounds of
+``sep_integral`` built by chains of ``MultiPoly`` operators, and the marginal
+gap read from the partial trace of whole density matrices.
 """
 
 from dataclasses import dataclass
@@ -103,6 +104,76 @@ def gap_integrand_pullback(k: int) -> MultiPoly:
     if k == 3:
         return (b2 * b2 - b1 * b1) / 64 * x * (x - b3) ** 2
     raise ValueError("contribution index must be 1, 2 or 3")
+
+
+def _v(i: int) -> MultiPoly:
+    return MultiPoly.variable(4, i)
+
+
+def _c(q) -> MultiPoly:
+    return MultiPoly.constant(4, q)
+
+
+def vandermonde_by_operators() -> MultiPoly:
+    """``sep_integral.vandermonde_gap_poly`` as a chain of operator steps."""
+    t1, t2, t3 = _v(T1), _v(T2), _v(T3)
+    return t1 * t2 * t3 * (t1 * 2 + t2) * (t2 * 3 + t3 * 2) * (t1 * 6 + t2 * 3 + t3 * 2) / 432
+
+
+def gap_integrand_by_operators(k: int, branch: str | None = None) -> MultiPoly:
+    """``sep_integral.gap_integrand(k, branch)`` as a chain of operator steps."""
+    x = _v(X)
+    t1, t2, t3 = _v(T1), _v(T2), _v(T3)
+    if k == 1:
+        signed = (t1 - t3 / 3) if branch == "pos" else (t3 / 3 - t1)
+        return t2 * (t1 + t2 / 2 + t3 / 3) / 32 * (signed - x) ** 2 * x
+    if k == 2:
+        return -(t1 + t2 / 2) * (t2 / 2 + t3 / 3) / 16 * (t1 + t3 / 3 - x) ** 2 * x
+    return t1 * t3 / 48 * (t1 + t2 + t3 / 3 - x) ** 2 * x
+
+
+def bounds_by_operators(name: str) -> list[tuple[int, MultiPoly, MultiPoly]]:
+    """``sep_integral._bounds(name)`` with every bound built by operator steps."""
+    x = _v(X)
+    t1, t2, t3 = _v(T1), _v(T2), _v(T3)
+    zero, one = _c(0), _c(1)
+    return {
+        "R1a": [
+            (T1, x + t3 / 3, one / 3 - t2 / 3 - t3 / 9),
+            (T2, zero, one - x * 3 - t3 * Fraction(4, 3)),
+            (T3, zero, (one - x * 3) * Fraction(3, 4)),
+        ],
+        "R1b": [
+            (T3, x * 3 + t1 * 3, one - t1 - t2),
+            (T1, zero, (one - x * 3 - t2) / 4),
+            (T2, zero, one - x * 3),
+        ],
+        "Delta3": [
+            (T1, zero, one - t2 - t3),
+            (T2, zero, one - t3),
+            (T3, zero, one),
+        ],
+        "R2a": [
+            (T1, one / 3 - t2 / 3 - t3 / 9, one - t2 - t3),
+            (T2, zero, one - t3 * Fraction(4, 3)),
+            (T3, zero, _c(Fraction(3, 4))),
+        ],
+        "R2b": [
+            (T2, zero, one - t1 - t3),
+            (T1, zero, x - t3 / 3),
+            (T3, zero, x * 3),
+        ],
+        "R2ab": [
+            (T2, one - t1 * 3 - t3 / 3, one - t1 - t3),
+            (T1, t3 / 3, x - t3 / 3),
+            (T3, zero, x * Fraction(3, 2)),
+        ],
+        "R3b": [
+            (T1, zero, x - t2 - t3 / 3),
+            (T2, zero, x - t3 / 3),
+            (T3, zero, x * 3),
+        ],
+    }[name if name != "R3a" else "R2a"]
 
 
 def marginal_gaps_block(states: np.ndarray) -> np.ndarray:

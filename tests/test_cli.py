@@ -86,6 +86,20 @@ def test_exact_verbs_run_without_numpy():
     assert got == {"numpy_imported": False, "versions": [np.__version__] * 4}
 
 
+def test_integrate_reports_null_numpy_when_numpy_is_not_installed(capsys, monkeypatch):
+    import importlib.metadata
+
+    def not_installed(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setattr(importlib.metadata, "version", not_installed)
+    code, rep, _ = run_json(capsys, "integrate", "--emit", "prob")
+    assert code == 0
+    assert rep["versions"]["numpy"] is None
+    assert rep["results"]["prob"] == "8/33"
+
+
 class TestVolumesVerb:
     def test_n4(self, capsys):
         code, rep, _ = run_json(capsys, "volumes", "--n", "4")

@@ -18,6 +18,7 @@ from sepprob.exactmath import (
     extract_univariate,
     integrate_once,
     iterated_integrate,
+    product,
     rational_from_str,
     rational_str,
     residue_of_exp_over_linear_factors,
@@ -60,6 +61,27 @@ class TestPolyArithmetic:
             x_(1) + x_(2, 0)
         with pytest.raises(ValueError):
             x_(1) * x_(2, 0)
+
+    def test_power_is_repeated_multiplication(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            p = random_poly(rng, 2, 2)
+            chain = const(1, arity=2)
+            for n in range(5):
+                assert (p**n).terms == chain.terms
+                chain = chain * p
+
+    def test_product_rejects_no_factors_and_mixed_arities(self):
+        with pytest.raises(ValueError):
+            product(())
+        with pytest.raises(ValueError):
+            product([x_(2, 0), x_(1), x_(2, 1)])
+
+    def test_linear_is_built_from_its_coefficients(self):
+        assert MultiPoly.linear(3, {2: F(1, 3), 0: -2}, 5) == x_(3, 2) / 3 - x_(3, 0) * 2 + 5
+        assert MultiPoly.linear(2, [0, 0]).terms == {}
+        with pytest.raises(ValueError):
+            MultiPoly.linear(2, {2: 1})
 
     def test_ring_axioms_random(self):
         rng = random.Random(11)
@@ -121,6 +143,7 @@ class TestCanonicalResults:
                 p + q, p - q, -p, p * c, p * rng.randint(-3, 3), p * q, p**3,
                 p.substitute(v, q), compose(p, [q, x_(3, 0), q - 1]),
                 p.derivative(v), p.antiderivative(v), (p * x_(3, v) ** 2).shift_down(v, 2),
+                product([p, q, x_(3, v) - 1], c), MultiPoly.linear(3, [c, 0, rng.randint(-3, 3)], c),
             ]
             for r in results:
                 assert_canonical(r, 3)
@@ -269,6 +292,14 @@ class TestPackedKeys:
         x, y = x_(2, 0), x_(2, 1)
         assert _width(left + right) == (left + right).bit_length()
         assert (x**left * (x**right + y)).terms == {(left + right, 0): 1, (left, 1): 1}
+
+    @pytest.mark.parametrize("a, b, c", [(7, 4, 4), (8, 4, 4), (15, 8, 8), (16, 8, 8)])
+    def test_chain_product_fills_the_field_without_carry(self, a, b, c):
+        x, y = x_(2, 0), x_(2, 1)
+        # The degrees sum to 15, 16, 31 and 32: a full field, or one past it.
+        got = product([x**a, x**b + y, x**c], -3)
+        assert _width(a + b + c) == (a + b + c).bit_length()
+        assert got.terms == {(a + b + c, 0): -3, (a + c, 1): -3}
 
     def test_substitution_fills_the_field_without_carry(self):
         x, y = x_(3, 0), x_(3, 1)

@@ -1,8 +1,9 @@
 """Algebraic laws of MultiPoly stated as hypothesis properties: the ring
 laws, substitution as a ring homomorphism, compose and products against
-evaluation, the product rule and inverse of the derivative, and the packed-key
-integer kernels (products, substitution, iterated integrals) against a
-reference on plain exponent tuples and Fractions."""
+evaluation, the product rule and inverse of the derivative, the chain product
+kernel against operator steps, and the packed-key integer kernels (products,
+substitution, iterated integrals) against a reference on plain exponent
+tuples and Fractions."""
 
 from fractions import Fraction
 from operator import add
@@ -11,10 +12,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepprob.exactmath import MultiPoly, compose, iterated_integrate
+from sepprob.exactmath import MultiPoly, compose, iterated_integrate, product
 
 ARITY = 3
 # Fixed examples (no example database), so every run checks the same cases.
@@ -96,7 +97,7 @@ def test_derivative_laws(p, q, var):
     assert p.antiderivative(var).derivative(var) == p
 
 
-# -- iterated integration against a reference on plain Fraction dicts -------
+# -- products and iterated integrals against a reference on plain Fraction dicts
 
 
 def _ref_mul(p, q):
@@ -128,6 +129,38 @@ def _ref_iterated_integrate(p, bounds):
         for e, c in _ref_substitute(anti, var, lower.terms, p.arity).items():
             terms[e] = terms.get(e, Fraction(0)) - c
     return MultiPoly(p.arity, terms)
+
+
+@st.composite
+def product_chains(draw):
+    """Arity 1 to 4, one to five factors, a scale that may be zero; one
+    factor is sometimes replaced by the zero polynomial."""
+    arity = draw(st.integers(1, 4))
+    factors = draw(st.lists(polys(arity=arity), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        factors[draw(st.integers(0, len(factors) - 1))] = MultiPoly(arity)
+    return factors, draw(st.one_of(st.just(Fraction(0)), rationals))
+
+
+_X2, _Y2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+
+
+@EXAMPLES
+@given(product_chains())
+@example(([_X2 + 1, MultiPoly(2), _Y2], Fraction(-3, 2)))  # a zero factor, a negative scale
+@example(([_X2 - _Y2, _X2 + _Y2], Fraction(0)))  # a zero scale
+@example(([_X2 - _Y2, _X2 + _Y2, _X2 * _Y2 + 2], Fraction(-7, 5)))
+def test_product_is_the_scaled_chain_of_factors(case):
+    factors, scale = case
+    arity = factors[0].arity
+    chain, ref = scale * factors[0], {(0,) * arity: scale}
+    for f in factors[1:]:
+        chain = chain * f
+    for f in factors:
+        ref = _ref_mul(ref, f.terms)
+    got = product(factors, scale)
+    assert got.terms == chain.terms
+    assert got == MultiPoly(arity, ref)
 
 
 @st.composite

@@ -12,7 +12,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from reference import gap_integrand_pullback, support_polys
+from reference import (
+    bounds_by_operators,
+    gap_integrand_by_operators,
+    gap_integrand_pullback,
+    support_polys,
+    vandermonde_by_operators,
+)
 from sepprob import sep_integral as si
 from sepprob.exactmath import MultiPoly, compose, integrate_once, iterated_integrate
 from sepprob.sep_integral import (
@@ -164,6 +170,42 @@ class TestGapIntegrands:
             gap_integrand(1)
         with pytest.raises(ValueError):
             gap_integrand(2, "pos")
+
+
+def assert_same_terms(got: MultiPoly, want: MultiPoly) -> None:
+    """Term for term: the same exponent tuples and equal Fraction coefficients."""
+    assert got.arity == want.arity
+    assert got.terms == want.terms
+    assert all(type(c) is F for c in got.terms.values())
+
+
+BRANCHES = [(1, "pos"), (1, "neg"), (2, None), (3, None)]
+BOUND_NAMES = ["R1a", "R1b", "Delta3", "R2a", "R3a", "R2b", "R2ab", "R3b"]
+
+
+class TestFactorTables:
+    """The product-built Vandermonde, integrands and bounds match the same
+    expressions built by chains of MultiPoly operators."""
+
+    def test_vandermonde(self):
+        assert_same_terms(vandermonde_gap_poly(), vandermonde_by_operators())
+
+    @pytest.mark.parametrize("k, branch", BRANCHES)
+    def test_contribution(self, k, branch):
+        assert_same_terms(gap_integrand(k, branch), gap_integrand_by_operators(k, branch))
+
+    @pytest.mark.parametrize("k, branch", BRANCHES)
+    def test_full_integrand(self, k, branch):
+        want = vandermonde_by_operators() * gap_integrand_by_operators(k, branch)
+        assert_same_terms(si._full_integrand(k, branch), want)
+
+    @pytest.mark.parametrize("name", BOUND_NAMES)
+    def test_bounds(self, name):
+        got, want = si._bounds(name), bounds_by_operators(name)
+        assert [var for var, _, _ in got] == [var for var, _, _ in want]
+        for (_, lower, upper), (_, ref_lower, ref_upper) in zip(got, want):
+            assert_same_terms(lower, ref_lower)
+            assert_same_terms(upper, ref_upper)
 
 
 class TestRegions:
