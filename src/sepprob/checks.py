@@ -12,6 +12,7 @@ stochastic checks at full acceptance scale.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -319,11 +320,15 @@ def check_fixed_spectrum(seed: int) -> Check:
 
 
 def check_monte_carlo_global(seed: int, count: int) -> Check:
+    """Statistic: |fraction - 8/33| over ``count`` iid flat-measure states.
+    Sigma model: binomial, ``stderr``.  Bound max(0.002, 5 sigma): a false-alarm
+    rate of at most P(|z| > 5) = 5.7e-7."""
     est = sp.estimate_sep_prob(sp.SamplerConfig(seed=seed, count=count), threads=4)
-    target = 8.0 / 33.0
     band = max(0.002, 5.0 * est.stderr)
-    detail = f"{est.fraction:.5f} vs {target:.5f} (n={count}, ±{band:.4f})"
-    return ("global separability fraction", abs(est.fraction - target) <= band, detail)
+    alarm = math.erfc(band / est.stderr / 2**0.5)
+    detail = (f"{est.fraction:.5f} vs {8 / 33:.5f} (n={count}, ±{band:.4f} = {band / est.stderr:.1f} sigma, "
+              f"false alarm {alarm:.2g})")
+    return ("global separability fraction", abs(est.fraction - 8 / 33) <= band, detail)
 
 
 SLICE_RADII = (0.0, 0.2, 0.4)
@@ -338,9 +343,14 @@ def conditioned_slices(seed: int, count: int) -> tuple[sp.ConditionedStats, ...]
 
 
 def check_conditioned_constancy(slices: tuple[sp.ConditionedStats, ...]) -> Check:
+    """Statistic: max |fraction - 8/33| over the slices.  Sigma model: each
+    slice's binomial ``stderr`` (iid draws).  Bound 0.01, 3.3 sigma per slice at
+    2e4 draws: a false-alarm rate of about 0.3 % over three slices (union bound)."""
     worst = max(abs(stats.fraction - 8.0 / 33.0) for stats in slices)
+    alarm = sum(math.erfc(0.01 / stats.stderr / 2**0.5) for stats in slices)
     details = "; ".join(f"a={a}: {stats.fraction:.4f}" for a, stats in zip(SLICE_RADII, slices))
-    return ("conditioned constancy", worst <= 0.01, f"{details} (max dev {worst:.4f})")
+    detail = f"{details} (max dev {worst:.4f}, bound 0.01, false alarm {alarm:.2g})"
+    return ("conditioned constancy", worst <= 0.01, detail)
 
 
 def check_halfbound_equivalence(stats: sp.ConditionedStats, count: int) -> Check:
@@ -389,11 +399,14 @@ def marginal_histogram(
 
 
 def check_marginal_law(seed: int, count: int) -> Check:
+    """Statistic: sup-norm of empirical minus exact bin densities.  Sigma model:
+    binomial per bin, at most the fullest bin's ``sigma_peak``.  Bound 3.5
+    sigma_peak: a false-alarm rate of at most 50 P(|z| > 3.5) = 2.3 % (union
+    bound).  A wrong density or normalization overshoots it tenfold."""
     hist = marginal_histogram(SPEC_45, count, seed)
-    # Seed-robust bound: 3.5 binomial sigmas of the fullest bin.  A wrong
-    # density or normalization overshoots this by an order of magnitude.
-    bound = 3.5 * hist.sigma_peak
-    detail = f"sup-norm {hist.sup_norm:.4f} over {len(hist.masses)} bins (bound {bound:.4f}, n={count})"
+    bins, bound = len(hist.masses), 3.5 * hist.sigma_peak
+    detail = (f"sup-norm {hist.sup_norm:.4f} over {bins} bins (bound {bound:.4f} = 3.5 sigma_peak, n={count}, "
+              f"false alarm {bins * math.erfc(3.5 / 2**0.5):.2g})")
     return ("fixed-spectrum marginal law", hist.sup_norm < bound, detail)
 
 

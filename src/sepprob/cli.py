@@ -47,7 +47,7 @@ def _report(command: str, results, t0: float, seed=None, checks_list=None) -> di
         "command": command,
         "versions": _versions(),
         "seed": seed,
-        "wall_clock_s": round(time.time() - t0, 3),
+        "wall_clock_s": round(time.perf_counter() - t0, 3),
         "results": results,
     }
     if checks_list is not None:
@@ -92,7 +92,7 @@ def _sym_json(s) -> dict:
 
 
 def cmd_volumes(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = args.n
     results = {
         "n": n,
@@ -109,7 +109,7 @@ def cmd_volumes(args) -> int:
 def cmd_density(args) -> int:
     from . import dh_density as dh
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.grid:
         _density_grid_csv(dh.convolution_density_closed(), args.grid)
         return 0
@@ -170,7 +170,7 @@ def _density_grid_csv(closed, k: int) -> None:
 def cmd_marginal(args) -> int:
     from . import dh_density as dh
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.csv and not args.samples:
         raise ValueError("--csv needs --samples: it formats the sampled histogram")
     spectrum = _parse_spectrum(args.spectrum)
@@ -252,7 +252,7 @@ def _marginal_histogram(args, centered, t0) -> int:
 
 
 def cmd_integrate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     kind = args.emit
     if kind == "prob":
         p = si.separability_probability()
@@ -283,7 +283,7 @@ def cmd_integrate(args) -> int:
 def cmd_sample(args) -> int:
     from . import sampling as sp
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = sp.PPT_TOL if args.tol is None else args.tol
     config = sp.SamplerConfig(seed=args.seed, count=args.n, tolerance=tol)
     if args.what == "sep":
@@ -298,9 +298,8 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     from . import checks
 
-    t0 = time.time()
     results = []
-    start = time.perf_counter()
+    t0 = start = time.perf_counter()
     for name, passed, detail in checks.run_all(seed=args.seed, deep=args.deep):
         seconds = round(time.perf_counter() - start, 3)
         results.append({"name": name, "pass": bool(passed), "detail": detail, "seconds": seconds})

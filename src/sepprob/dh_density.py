@@ -218,30 +218,18 @@ class PiecewisePoly1D:
 
     def integral(self) -> Fraction:
         """Exact integral over the full support."""
-        total = Fraction(0)
-        for i, piece in enumerate(self.pieces):
-            anti = piece.antiderivative(0)
-            total += anti.evaluate([self.breakpoints[i + 1]]) - anti.evaluate([self.breakpoints[i]])
-        return total
+        return self.cdf([self.breakpoints[-1]])[0]
 
     def integral_between(self, lo, hi) -> Fraction:
-        """Exact integral over [lo, hi], clipped to the support."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        total = Fraction(0)
-        for i, piece in enumerate(self.pieces):
-            a = max(lo, self.breakpoints[i])
-            b = min(hi, self.breakpoints[i + 1])
-            if a >= b:
-                continue
-            anti = piece.antiderivative(0)
-            total += anti.evaluate([b]) - anti.evaluate([a])
-        return total
+        """Exact integral over [lo, hi], clipped to the support; 0 when lo >= hi."""
+        below_lo, below_hi = self.cdf([lo, max(Fraction(lo), Fraction(hi))])
+        return below_hi - below_lo
 
     def cdf(self, points: Sequence) -> list[Fraction]:
         """Exact integral of the density from ``breakpoints[0]`` up to each
         point, clipped to the support: 0 at or below the first breakpoint,
-        ``integral()`` at or above the last, and otherwise equal, as a
-        Fraction, to ``integral_between(breakpoints[0], x)``.
+        ``integral()`` at or above the last, and otherwise the mass of the
+        density below the point.
 
         Each piece's antiderivative is built once and the piece masses are
         summed once, so successive differences of ``cdf(edges)`` give the

@@ -2,8 +2,8 @@
 
 Random density matrices under the flat (Hilbert-Schmidt) measure, Haar
 fixed-spectrum orbits, exact iid draws on fixed-marginal slices by local
-filtering (with a hit-and-run walk kept as their test reference), the
-positive-partial-transpose test, and the marginal-gap statistic.
+filtering, the positive-partial-transpose test and the marginal-gap statistic.
+A hit-and-run walk stays only because perfbench/replay.py conditioned() reads it.
 
 Everything stochastic is driven by counter-based Philox streams keyed by
 (seed, stream index), so results are bit-reproducible for a given seed and
@@ -54,7 +54,7 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs shared by the samplers; burn_in and thinning are read only by
-    the reference walk ``conditioned_samples``.
+    the hit-and-run walk ``conditioned_samples``.
 
     ``tolerance`` is the half-width of the indeterminate band around zero for
     the smallest partial-transpose eigenvalue lambda_min: a state counts as

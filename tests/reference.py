@@ -5,8 +5,9 @@ builds another way, so that a test can compare the two: the projected root
 weights, the compatibility polytope of marginal gap pairs and Bravyi's
 marginal compatibility test built on it, the gap integrands built from the
 support breakpoints, the Vandermonde, gap integrands and region bounds of
-``sep_integral`` built by chains of ``MultiPoly`` operators, and the marginal
-gap read from the partial trace of whole density matrices.
+``sep_integral`` built by chains of ``MultiPoly`` operators, the marginal
+gap read from the partial trace of whole density matrices, and the mass of a
+piecewise density between two points summed piece by piece.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sepprob.dh_density import MarginalSupport, marginal_support
+from sepprob.dh_density import MarginalSupport, PiecewisePoly1D, marginal_support
 from sepprob.exactmath import MultiPoly
 from sepprob.sep_integral import T1, T2, T3, X
 
@@ -182,3 +183,17 @@ def marginal_gaps_block(states: np.ndarray) -> np.ndarray:
     red = np.einsum("bijkj->bik", states.reshape(-1, 2, 2, 2, 2))
     half_diff = 0.5 * (red[:, 0, 0] - red[:, 1, 1]).real
     return 2.0 * np.sqrt(half_diff**2 + np.abs(red[:, 0, 1]) ** 2)
+
+
+def integral_between_by_pieces(density: PiecewisePoly1D, lo, hi) -> Fraction:
+    """Exact integral of ``density`` over [lo, hi], clipped to its support: each
+    piece's antiderivative taken across its overlap with [lo, hi]."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    total = Fraction(0)
+    for i, piece in enumerate(density.pieces):
+        a = max(lo, density.breakpoints[i])
+        b = min(hi, density.breakpoints[i + 1])
+        if a < b:
+            anti = piece.antiderivative(0)
+            total += anti.evaluate([b]) - anti.evaluate([a])
+    return total

@@ -4,7 +4,13 @@ one-variable gap density with its quadrature oracle."""
 import random
 from fractions import Fraction as F
 
-from reference import bravyi_compatible, moment_polytope, project_to_plane, weights_from_roots
+from reference import (
+    bravyi_compatible,
+    integral_between_by_pieces,
+    moment_polytope,
+    project_to_plane,
+    weights_from_roots,
+)
 from sepprob.dh_density import (
     CHAMBER_LABELS,
     DISTINCT_WEIGHTS,
@@ -242,15 +248,23 @@ class TestExactCdf:
             inside = [lo + (hi - lo) * t for lo, hi in pieces for t in (F(1, 3), F(5, 7))]
             points = [F(-1, 10), F(0), *d.breakpoints, *inside, b3 + F(1, 100), F(2)]
             cdf = d.cdf(points)
-            assert cdf == [d.integral_between(d.breakpoints[0], x) for x in points]
-            assert d.cdf([b3])[0] == d.integral()
+            assert cdf == [integral_between_by_pieces(d, d.breakpoints[0], x) for x in points]
+            assert d.integral() == integral_between_by_pieces(d, d.breakpoints[0], b3)
+
+    def test_integral_between_wraps_cdf(self):
+        # Random pairs, lo > hi and points outside [0, b3] included.
+        rng = random.Random(43)
+        d = marginal_gap_density(SPEC_45)
+        for _ in range(400):
+            lo, hi = (F(rng.randint(-100, 600), 1000) for _ in range(2))
+            assert d.integral_between(lo, hi) == integral_between_by_pieces(d, lo, hi)
 
     def test_differences_are_bin_masses(self):
         d = marginal_gap_density(SPEC_45)
         b3 = d.breakpoints[-1]
         edges = [F(i) * b3 / 50 for i in range(51)]
         cdf = d.cdf(edges)
-        masses = [d.integral_between(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        masses = [integral_between_by_pieces(d, lo, hi) for lo, hi in zip(edges, edges[1:])]
         assert [hi - lo for lo, hi in zip(cdf, cdf[1:])] == masses
 
 

@@ -1,55 +1,38 @@
-"""Pinned `results` and check lists of the CLI, compared exactly.
+"""Every golden entry, run in-process and compared by `golden/check.py`, the runner CI
+calls.  Regenerate an entry only for a deliberate change of output, and name the entry
+and the reason in CHANGES.md."""
 
-`golden/integrate.json` holds the `results` of `integrate --emit` for each of
-M1, M2, M3, f and prob; `golden/density_oracle.json` the `results` of
-`density --check-oracle --points 25 --seed 7`; `golden/verify_all.json` the
-ordered check names and pass flags of `verify all --seed 42`;
-`golden/sample.json` the `results` of `sample sep` (seeds 3, 5, 7, 11 and 77
-at 1 and 2 threads, and two wide tolerance bands) and `sample conditioned`
-(a = 0.2 and 0.9), the estimators' bit-level pins.  Regenerate an
-entry only for a deliberate change of output, and name the entry and the
-reason in CHANGES.md.
-"""
-
-import json
 from pathlib import Path
 
 import pytest
+from golden.check import load, mismatch
 
-from sepprob.cli import main
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN = json.loads((GOLDEN_DIR / "integrate.json").read_text())
+ENTRIES = {f.name: load(f) for f in (Path(__file__).parent / "golden").glob("*.json")}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN["entries"]))
-def test_integrate_matches_golden(name, capsys):
-    entry = GOLDEN["entries"][name]
-    assert main(list(entry["argv"])) == 0
-    assert json.loads(capsys.readouterr().out)["results"] == entry["results"]
+def assert_golden(entries, cli_run):
+    assert [msg for e in entries if (msg := mismatch(e, *cli_run(e["argv"])))] == []
+
+
+def golden_test(name: str, skip: int | None = None):
+    """A test of ``golden/<name>``: one case for the whole file, or with ``skip`` one case per
+    entry, named by its argv less the first ``skip`` words."""
+    if skip is None:
+        return lambda cli_run: assert_golden(ENTRIES[name], cli_run)
+    @pytest.mark.parametrize("entry", ENTRIES[name], ids=lambda e: "-".join(a.lstrip("-") for a in e["argv"][skip:]))
+    def test(entry, cli_run):
+        assert_golden([entry], cli_run)
+
+    return test
+
+
+test_integrate_matches_golden = golden_test("integrate.json", skip=2)
+test_sample_matches_golden = golden_test("sample.json", skip=1)
+test_marginal_matches_golden = golden_test("marginal_seed17.json", skip=0)
+test_exact_verbs_match_golden = golden_test("exact_verbs.json", skip=0)
+test_density_oracle_matches_golden = golden_test("density_oracle.json")
+test_verify_all_matches_golden = golden_test("verify_all.json")
 
 
 def test_golden_covers_every_emit():
-    assert sorted(GOLDEN["entries"]) == ["M1", "M2", "M3", "f", "prob"]
-
-
-SAMPLE = json.loads((GOLDEN_DIR / "sample.json").read_text())["entries"]
-
-
-@pytest.mark.parametrize("entry", SAMPLE, ids=["-".join(a.lstrip("-") for a in e["argv"][1:]) for e in SAMPLE])
-def test_sample_matches_golden(entry, capsys):
-    assert main(list(entry["argv"])) == 0
-    assert json.loads(capsys.readouterr().out)["results"] == entry["results"]
-
-
-def test_density_oracle_matches_golden(capsys):
-    pinned = json.loads((GOLDEN_DIR / "density_oracle.json").read_text())
-    assert main(list(pinned["argv"])) == 0
-    assert json.loads(capsys.readouterr().out)["results"] == pinned["results"]
-
-
-def test_verify_all_matches_golden(verify_all_42):
-    pinned = json.loads((GOLDEN_DIR / "verify_all.json").read_text())
-    code, rep = verify_all_42
-    assert pinned["argv"] == ["verify", "all", "--seed", "42"] and code == 0
-    assert [{"name": c["name"], "pass": c["pass"]} for c in rep["checks"]] == pinned["checks"]
+    assert len(ENTRIES) == 6 and sorted(e["argv"][-1] for e in ENTRIES["integrate.json"]) == ["M1", "M2", "M3", "f", "prob"]
