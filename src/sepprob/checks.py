@@ -1,8 +1,8 @@
 """Self-check suite behind ``verify all``.
 
-Each check returns (name, passed, detail); ``run_all`` yields them at verify
-all's seeds, counts and bounds, and turns a check that raises into a failing
-entry.  Acceptance criteria 4, 6, 8, 9 and 10 call the same functions here
+Each check returns (passed, detail); ``run_all`` runs them at verify all's
+seeds, counts and bounds, names each from its one table, and turns a check
+that raises into a failing entry.  Acceptance criteria 4, 6, 8, 9 and 10 call the same functions here
 at their frozen seeds and counts, with their own bounds; criterion 7 calls
 ``sampling.estimate_sep_prob`` as ``check_monte_carlo_global`` does.  The
 default scales keep the suite under a minute; ``deep=True`` reruns the
@@ -26,7 +26,7 @@ from . import volumes as vol
 from .exactmath import MultiPoly, integrate_once
 from .volumes import CenteredSpectrum
 
-Check = tuple[str, bool, str]
+Check = tuple[bool, str]
 
 # Fixed sizes and bounds of the checks below.
 _ROUTE_POINTS = 100  # fiber-oracle points per chamber, "density routes"
@@ -50,10 +50,10 @@ def check_ring_axioms(seed: int) -> Check:
     for _ in range(60):
         a, b, c = (_random_poly(rng, 2, 3) for _ in range(3))
         if (a + b) * c != a * c + b * c:
-            return ("poly distributivity", False, "distributivity violated")
+            return False, "distributivity violated"
         if a * b != b * a:
-            return ("poly distributivity", False, "commutativity violated")
-    return ("poly distributivity", True, "60 random triples")
+            return False, "commutativity violated"
+    return True, "60 random triples"
 
 
 def check_fundamental_theorem(seed: int) -> Check:
@@ -62,8 +62,8 @@ def check_fundamental_theorem(seed: int) -> Check:
         p = _random_poly(rng, 2, 6)
         v = rng.randint(0, 1)
         if p.antiderivative(v).derivative(v) != p:
-            return ("derivative of antiderivative", False, "mismatch")
-    return ("derivative of antiderivative", True, "100 random polynomials, degree <= 6")
+            return False, "mismatch"
+    return True, "100 random polynomials, degree <= 6"
 
 
 def check_integral_linearity(seed: int) -> Check:
@@ -75,20 +75,20 @@ def check_integral_linearity(seed: int) -> Check:
         lhs = integrate_once(p * alpha + q * beta, 0, 0, 1)
         rhs = integrate_once(p, 0, 0, 1) * alpha + integrate_once(q, 0, 0, 1) * beta
         if lhs != rhs:
-            return ("integration linearity", False, "mismatch")
-    return ("integration linearity", True, "40 random combinations")
+            return False, "mismatch"
+    return True, "40 random combinations"
 
 
 def check_volume_identities(seed: int) -> Check:
     for n in range(1, 9):
         b = n * (n - 1) // 2
         if vol.flag_volume_hs(n) != vol.flag_volume_euclid(n) * (2**b):
-            return ("volume identities", False, f"flag scaling fails at N={n}")
+            return False, f"flag scaling fails at N={n}"
     for n in (2, 3, 4):
         lhs = vol.state_space_volume_hs(n)
         rhs = vol.flag_volume_hs(n) * vol.simplex_vandermonde_integral(n) * vol.SymbolicReal(1, 0, n)
         if lhs != rhs:
-            return ("volume identities", False, f"state-space identity fails at N={n}")
+            return False, f"state-space identity fails at N={n}"
     rng = random.Random(seed)
     for _ in range(50):
         raw = sorted({Fraction(rng.randint(-40, 40), 97) for _ in range(4)}, reverse=True)
@@ -96,8 +96,8 @@ def check_volume_identities(seed: int) -> Check:
             continue
         centered = CenteredSpectrum([x - sum(raw) / 4 for x in raw])
         if not vol.hs_symplectic_relation_holds(centered):
-            return ("volume identities", False, f"orbit relation fails at {centered}")
-    return ("volume identities", True, "flag scaling, state space, 50 random orbits")
+            return False, f"orbit relation fails at {centered}"
+    return True, "flag scaling, state space, 50 random orbits"
 
 
 def density_identity_failure() -> str | None:
@@ -129,11 +129,11 @@ def density_oracle_points(seed: int, points_per_chamber: int) -> Iterator[tuple[
 def check_density_routes(seed: int) -> Check:
     broken = density_identity_failure()
     if broken:
-        return ("density routes", False, broken)
+        return False, broken
     worst = max(abs(c - o) for _, c, o in density_oracle_points(seed, _ROUTE_POINTS))
     if worst > 1e-9:
-        return ("density routes", False, f"fiber oracle off by {worst:.2e}")
-    return ("density routes", True, f"jump==closed, walls exact, oracle max err {worst:.1e}")
+        return False, f"fiber oracle off by {worst:.2e}"
+    return True, f"jump==closed, walls exact, oracle max err {worst:.1e}"
 
 
 def chamber_point(rng: random.Random, label: str) -> tuple[Fraction, Fraction]:
@@ -162,8 +162,8 @@ def check_density_nonnegative() -> Check:
             theta = j / (n - 1)
             for s_val in ((-r) * theta, r * theta, r - 5.0 * theta):
                 if closed.evaluate_float(r, s_val) < -1e-12:
-                    return ("density nonnegativity", False, f"negative at {(r, s_val)}")
-    return ("density nonnegativity", True, f"{3 * n * n} grid points across chambers")
+                    return False, f"negative at {(r, s_val)}"
+    return True, f"{3 * n * n} grid points across chambers"
 
 
 # The spectrum (0.45, 0.27, 0.18, 0.10), centred; gap support [0, 11/25].
@@ -184,8 +184,8 @@ def check_marginal_mass(seed: int) -> Check:
     for _ in range(_MASS_TRIALS):
         c = random_simple_centered(rng)
         if dh.total_gap_mass(c) != dh.vandermonde_over_twelve(c):
-            return ("marginal density mass", False, f"mass identity fails for {c.entries}")
-    return ("marginal density mass", True, f"{_MASS_TRIALS} random simple spectra, exact")
+            return False, f"mass identity fails for {c.entries}"
+    return True, f"{_MASS_TRIALS} random simple spectra, exact"
 
 
 def check_marginal_oracle() -> Check:
@@ -203,8 +203,8 @@ def check_marginal_oracle() -> Check:
             err = abs(dh.marginal_gap_density_numeric(c, x) - density.evaluate_float(x))
             worst = max(worst, err)
     if worst > 1e-6:
-        return ("marginal oracle", False, f"max |oracle - closed| = {worst:.2e}")
-    return ("marginal oracle", True, f"3 spectra x {_ORACLE_GRID} points, max err {worst:.1e}")
+        return False, f"max |oracle - closed| = {worst:.2e}"
+    return True, f"3 spectra x {_ORACLE_GRID} points, max err {worst:.1e}"
 
 
 def check_scaling_covariance(seed: int) -> Check:
@@ -215,34 +215,34 @@ def check_scaling_covariance(seed: int) -> Check:
         base = dh.marginal_support(c)
         scaled = dh.marginal_support(c.scaled(tau))
         if tuple(scaled) != tuple(tau * b for b in base):
-            return ("scaling covariance", False, "breakpoints do not scale linearly")
+            return False, "breakpoints do not scale linearly"
         if dh.marginal_gap_density(c.scaled(tau)).breakpoints[-1] != tau * base.b3:
-            return ("scaling covariance", False, "support does not scale")
-    return ("scaling covariance", True, "10 random spectra and scale factors")
+            return False, "support does not scale"
+    return True, "10 random spectra and scale factors"
 
 
 def check_regions() -> Check:
     for x in (Fraction(1, 100), Fraction(1, 6), Fraction(33, 100)):
         for name in si.REGION_NAMES:
             if si.region_volume(name, x) < 0:
-                return ("integration regions", False, f"{name} has negative volume at x={x}")
+                return False, f"{name} has negative volume at x={x}"
             if not si.region_bounds_ordered(name, x):
-                return ("integration regions", False, f"{name} bounds disordered at x={x}")
-    return ("integration regions", True, "volumes nonnegative, bounds ordered at 3 spot values")
+                return False, f"{name} bounds disordered at x={x}"
+    return True, "volumes nonnegative, bounds ordered at 3 spot values"
 
 
 def check_exact_pipeline() -> Check:
     if not si.centered_vandermonde_in_gaps_matches():
-        return ("exact pipeline", False, "gap-coordinate Vandermonde mismatch")
+        return False, "gap-coordinate Vandermonde mismatch"
     partials = si.gap_piece_partials(1)
     if partials["R1a"] != partials["R1b"]:
-        return ("exact pipeline", False, "the two halves of the first partial differ")
+        return False, "the two halves of the first partial differ"
     if not si.radial_volume_identity_holds():
-        return ("exact pipeline", False, "radial volume identity fails")
+        return False, "radial volume identity fails"
     prob = si.separability_probability()
     if prob != Fraction(8, 33):
-        return ("exact pipeline", False, f"probability is {prob}, not 8/33")
-    return ("exact pipeline", True, "Vandermonde, halves, radial identity, 8/33")
+        return False, f"probability is {prob}, not 8/33"
+    return True, "Vandermonde, halves, radial identity, 8/33"
 
 
 def gram_flat_mismatch(g: np.ndarray) -> str | None:
@@ -273,37 +273,37 @@ def check_sampling_core(seed: int) -> Check:
     rng = sp.stream_rng(seed)
     rho = sp.hs_random_state(4, rng)
     if not sp.is_valid_density_matrix(rho):
-        return ("sampling core", False, "flat-measure sample is not a density matrix")
+        return False, "flat-measure sample is not a density matrix"
     u = next(sp._orbit_chunks(rng, 1))[1][..., 0]  # (column, row) of one orbit draw
     if u.shape != (3, 4) or np.max(np.abs(u.conj() @ u.T - np.eye(3))) > 1e-12:
-        return ("sampling core", False, "orbit columns fail U†U = I")
+        return False, "orbit columns fail U†U = I"
     if np.max(np.abs(sp.partial_transpose(sp.partial_transpose(rho)) - rho)) != 0.0:
-        return ("sampling core", False, "partial transpose is not an involution")
+        return False, "partial transpose is not an involution"
     bell = np.zeros((4, 4), dtype=complex)
     for i in (0, 3):
         for j in (0, 3):
             bell[i, j] = 0.5
     if abs(np.linalg.eigvalsh(sp.partial_transpose(bell))[0] + 0.5) > 1e-12:
-        return ("sampling core", False, "maximally entangled state misses min eigenvalue -1/2")
+        return False, "maximally entangled state misses min eigenvalue -1/2"
     if sp.is_ppt(bell):
-        return ("sampling core", False, "maximally entangled state passed the transpose test")
+        return False, "maximally entangled state passed the transpose test"
     # 2000 unnormalised G G^dag draws, plus the Werner state at p = 1/3
     # (lambda_min = 0), which takes the eigvalsh fallback.
     g = sp._ginibre(4, sp.stream_rng(seed, 1), 2000)
     mismatch = gram_flat_mismatch(g)
     if mismatch:
-        return ("sampling core", False, f"column-layout G G^dag disagrees with matmul: {mismatch}")
+        return False, f"column-layout G G^dag disagrees with matmul: {mismatch}"
     werner = (np.eye(4) / 2 + bell) / 3
     w = np.concatenate([g @ g.conj().transpose(0, 2, 1), werner[None]])
     mismatch = ppt_decision_mismatch(w)
     if mismatch:
-        return ("sampling core", False, f"determinant decision disagrees with eigvalsh: {mismatch}")
+        return False, f"determinant decision disagrees with eigvalsh: {mismatch}"
     est1 = sp.estimate_sep_prob(sp.SamplerConfig(seed=seed, count=2000))
     est2 = sp.estimate_sep_prob(sp.SamplerConfig(seed=seed, count=2000), threads=4)
     if est1 != est2:
-        return ("sampling core", False, "estimator is not thread-deterministic")
+        return False, "estimator is not thread-deterministic"
     detail = "validity, orbit columns, transpose, entangled witness, flat Gram, det decision, determinism"
-    return ("sampling core", True, detail)
+    return True, detail
 
 
 def check_fixed_spectrum(seed: int) -> Check:
@@ -311,12 +311,12 @@ def check_fixed_spectrum(seed: int) -> Check:
     b3 = float(dh.marginal_support(SPEC_45).b3)
     gaps = sp.fixed_spectrum_gaps(lam, _GAP_COUNT, seed)
     if gaps.max() > b3 + 1e-9 or gaps.min() < -1e-12:
-        return ("fixed-spectrum gaps", False, f"gap outside [0, {b3}]")
+        return False, f"gap outside [0, {b3}]"
     rho = sp.sample_fixed_spectrum(lam, sp.stream_rng(seed, 99))
     spec = np.sort(np.linalg.eigvalsh(rho))[::-1]
     if np.max(np.abs(spec - np.array(lam))) > 1e-10:
-        return ("fixed-spectrum gaps", False, "orbit sample does not keep the spectrum")
-    return ("fixed-spectrum gaps", True, f"{_GAP_COUNT} samples stay inside the support")
+        return False, "orbit sample does not keep the spectrum"
+    return True, f"{_GAP_COUNT} samples stay inside the support"
 
 
 def check_monte_carlo_global(seed: int, count: int) -> Check:
@@ -328,7 +328,7 @@ def check_monte_carlo_global(seed: int, count: int) -> Check:
     alarm = math.erfc(band / est.stderr / 2**0.5)
     detail = (f"{est.fraction:.5f} vs {8 / 33:.5f} (n={count}, ±{band:.4f} = {band / est.stderr:.1f} sigma, "
               f"false alarm {alarm:.2g})")
-    return ("global separability fraction", abs(est.fraction - 8 / 33) <= band, detail)
+    return abs(est.fraction - 8 / 33) <= band, detail
 
 
 SLICE_RADII = (0.0, 0.2, 0.4)
@@ -350,13 +350,13 @@ def check_conditioned_constancy(slices: tuple[sp.ConditionedStats, ...]) -> Chec
     alarm = sum(math.erfc(0.01 / stats.stderr / 2**0.5) for stats in slices)
     details = "; ".join(f"a={a}: {stats.fraction:.4f}" for a, stats in zip(SLICE_RADII, slices))
     detail = f"{details} (max dev {worst:.4f}, bound 0.01, false alarm {alarm:.2g})"
-    return ("conditioned constancy", worst <= 0.01, detail)
+    return worst <= 0.01, detail
 
 
 def check_halfbound_equivalence(stats: sp.ConditionedStats, count: int) -> Check:
     ok = stats.agreement_halfbound == 1.0 and stats.band_count < max(1, count // 1000)
     detail = f"agreement {stats.agreement_halfbound:.6f}, band {stats.band_count}/{count}"
-    return ("transpose vs half-bound tests", ok, detail)
+    return ok, detail
 
 
 class MarginalHistogram(NamedTuple):
@@ -407,13 +407,14 @@ def check_marginal_law(seed: int, count: int) -> Check:
     bins, bound = len(hist.masses), 3.5 * hist.sigma_peak
     detail = (f"sup-norm {hist.sup_norm:.4f} over {bins} bins (bound {bound:.4f} = 3.5 sigma_peak, n={count}, "
               f"false alarm {bins * math.erfc(3.5 / 2**0.5):.2g})")
-    return ("fixed-spectrum marginal law", hist.sup_norm < bound, detail)
+    return hist.sup_norm < bound, detail
 
 
-def run_all(seed: int = 42, deep: bool = False) -> Iterator[Check]:
-    """Yield every check of ``verify all`` in report order.  Each check runs
-    when it is reached, so a caller can time it.  A check that raises
-    becomes a failing entry naming the exception, and the rest still run."""
+def run_all(seed: int = 42, deep: bool = False) -> Iterator[tuple[str, bool, str]]:
+    """Yield (name, passed, detail) for every check of ``verify all`` in report
+    order.  Each check runs when it is reached, so a caller can time it.  A
+    check that raises becomes a failing entry naming the exception, and the
+    rest still run."""
     mc_n = 1_000_000 if deep else 50_000
     slice_n = 100_000 if deep else 20_000
     law_n = 1_000_000 if deep else 200_000
@@ -439,6 +440,7 @@ def run_all(seed: int = 42, deep: bool = False) -> Iterator[Check]:
     )
     for name, step in steps:
         try:
-            yield step()
+            passed, detail = step()
         except Exception as exc:  # a broken check must not take the report down
-            yield (name, False, f"raised {type(exc).__name__}: {exc}")
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        yield name, passed, detail

@@ -1,8 +1,12 @@
 """Command-line surface.
 
-Six verbs: volumes, density, marginal, integrate, sample, verify.  Structured
-results go to stdout as JSON; plot grids go out as CSV.  Exit codes: 0 for
-success / all checks passing, 1 for a failed check, 2 for usage errors.
+Six verbs: volumes, density, marginal, integrate, sample, verify.  Each verb
+returns either a report, ``(command, results[, seed[, checks]])``, or a CSV
+table, an iterable of lines whose first is the header.  ``main`` alone times
+the verb, writes to stdout (a report as JSON, a table one line at a time) and
+sets the exit code: 0 for success / all checks passing, 1 for a report with
+``"pass": false``, 2 for usage errors, 141 when the reader closes the pipe.
+``verify all``'s checks come from ``checks.run_all``, which names them.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -42,23 +47,18 @@ def _versions() -> dict:
     return {"sepprob": __version__, "python": platform.python_version(), "numpy": numpy_version}
 
 
-def _report(command: str, results, t0: float, seed=None, checks_list=None) -> dict:
+def _report(seconds: float, command: str, results, seed=None, checks_list=None) -> dict:
     rep = {
         "command": command,
         "versions": _versions(),
         "seed": seed,
-        "wall_clock_s": round(time.perf_counter() - t0, 3),
+        "wall_clock_s": round(seconds, 3),
         "results": results,
     }
     if checks_list is not None:
         rep["checks"] = checks_list
         rep["pass"] = all(c["pass"] for c in checks_list)
     return rep
-
-
-def _emit(rep: dict) -> None:
-    json.dump(rep, sys.stdout, indent=2)
-    sys.stdout.write("\n")
 
 
 def _parse_spectrum(text: str) -> Spectrum:
@@ -91,10 +91,9 @@ def _sym_json(s) -> dict:
     return out
 
 
-def cmd_volumes(args) -> int:
-    t0 = time.perf_counter()
+def cmd_volumes(args):
     n = args.n
-    results = {
+    return "volumes", {
         "n": n,
         "flag_hs": _sym_json(vol.flag_volume_hs(n)),
         "flag_euclid": _sym_json(vol.flag_volume_euclid(n)),
@@ -102,36 +101,23 @@ def cmd_volumes(args) -> int:
         "simplex_integral": rational_str(vol.simplex_vandermonde_integral(n)),
         "simplex_integral_decimal": decimal_str(float(vol.simplex_vandermonde_integral(n))),
     }
-    _emit(_report("volumes", results, t0))
-    return 0
 
 
-def cmd_density(args) -> int:
+def cmd_density(args):
     from . import dh_density as dh
 
-    t0 = time.perf_counter()
     if args.grid:
-        _density_grid_csv(dh.convolution_density_closed(), args.grid)
-        return 0
+        return _density_grid_csv(dh.convolution_density_closed(), args.grid)
     if args.check_oracle:
         rows, worst = _oracle_rows(args.points, args.seed)
-        ok = worst <= args.tol
-        rep = _report(
-            "density --check-oracle",
-            {"rows": rows, "max_abs_err": decimal_str(worst), "tolerance": args.tol},
-            seed=args.seed,
-            checks_list=[{"name": "fiber oracle agreement", "pass": ok, "detail": f"max err {worst:.2e}"}],
-            t0=t0,
-        )
-        _emit(rep)
-        return 0 if ok else 1
+        results = {"rows": rows, "max_abs_err": decimal_str(worst), "tolerance": args.tol}
+        check = {"name": "fiber oracle agreement", "pass": worst <= args.tol, "detail": f"max err {worst:.2e}"}
+        return "density --check-oracle", results, args.seed, [check]
     closed = dh.convolution_density_closed()
-    results = {
+    return "density", {
         "chambers": {label: closed.piece(label).to_json() for label in dh.CHAMBER_LABELS},
         "variables": ["r", "s"],
     }
-    _emit(_report("density", results, t0))
-    return 0
 
 
 def _oracle_rows(points: int, seed: int):
@@ -155,22 +141,21 @@ def _oracle_rows(points: int, seed: int):
     return rows, worst
 
 
-def _density_grid_csv(closed, k: int) -> None:
+def _density_grid_csv(closed, k: int):
     from . import dh_density as dh
 
-    print("r,s,chamber,density")
+    yield "r,s,chamber,density"
     for i in range(k):
         r = -5.0 + 6.0 * i / (k - 1) if k > 1 else -5.0
         for j in range(k):
             s = -5.0 + 6.0 * j / (k - 1) if k > 1 else -5.0
             label = dh.classify_chamber(r, s)
-            print(f"{r:.6f},{s:.6f},{label},{decimal_str(closed.evaluate_float(r, s))}")
+            yield f"{r:.6f},{s:.6f},{label},{decimal_str(closed.evaluate_float(r, s))}"
 
 
-def cmd_marginal(args) -> int:
+def cmd_marginal(args):
     from . import dh_density as dh
 
-    t0 = time.perf_counter()
     if args.csv and not args.samples:
         raise ValueError("--csv needs --samples: it formats the sampled histogram")
     spectrum = _parse_spectrum(args.spectrum)
@@ -182,15 +167,12 @@ def cmd_marginal(args) -> int:
         )
     centered = spectrum.centered()
     if args.samples:
-        return _marginal_histogram(args, centered, t0)
+        return _marginal_histogram(args, centered)
     support = dh.marginal_support(centered)
     density = dh.marginal_gap_density(centered)
-
     if args.grid:
-        _marginal_grid_csv(density, support, args.grid)
-        return 0
-
-    results = {
+        return _marginal_grid_csv(density, support, args.grid)
+    return "marginal", {
         "spectrum": [rational_str(x) for x in spectrum.entries],
         "breakpoints": [rational_str(b) for b in (Fraction(0), *support)],
         "breakpoints_decimal": [decimal_str(float(b)) for b in (Fraction(0), *support)],
@@ -203,19 +185,17 @@ def cmd_marginal(args) -> int:
         ],
         "total_mass": rational_str(density.integral()),
     }
-    _emit(_report("marginal", results, t0))
-    return 0
 
 
-def _marginal_grid_csv(density, support, k: int) -> None:
+def _marginal_grid_csv(density, support, k: int):
     grid = {float(support.b3) * i / (k - 1) for i in range(k)} if k > 1 else {0.0}
     xs = sorted(grid | {float(b) for b in support})
-    print("x,density")
+    yield "x,density"
     for x in xs:
-        print(f"{decimal_str(x)},{decimal_str(density.evaluate_float(x))}")
+        yield f"{decimal_str(x)},{decimal_str(density.evaluate_float(x))}"
 
 
-def _marginal_histogram(args, centered, t0) -> int:
+def _marginal_histogram(args, centered):
     from . import checks
 
     bins = args.bins
@@ -234,79 +214,50 @@ def _marginal_histogram(args, centered, t0) -> int:
             }
         )
     if args.csv:
-        print("bin_lo,bin_hi,count,empirical_density,analytic_density")
-        for row in rows:
-            print(
-                f"{row['bin_lo']},{row['bin_hi']},{row['count']},"
-                f"{row['empirical_density']},{row['analytic_density']}"
-            )
-        return 0
-    rep = _report(
-        "marginal --samples",
-        {"histogram": rows, "sup_norm": decimal_str(hist.sup_norm), "samples": count, "bins": bins},
-        seed=args.seed,
-        t0=t0,
-    )
-    _emit(rep)
-    return 0
+        header = "bin_lo,bin_hi,count,empirical_density,analytic_density"
+        return [header, *(",".join(str(row[key]) for key in header.split(",")) for row in rows)]
+    results = {"histogram": rows, "sup_norm": decimal_str(hist.sup_norm), "samples": count, "bins": bins}
+    return "marginal --samples", results, args.seed
 
 
-def cmd_integrate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_integrate(args):
     kind = args.emit
     if kind == "prob":
         p = si.separability_probability()
-        _emit(_report("integrate --emit prob", {"prob": rational_str(p), "decimal": decimal_str(float(p))}, t0))
-        return 0
+        return "integrate --emit prob", {"prob": rational_str(p), "decimal": decimal_str(float(p))}
     if kind == "f":
         f = si.separable_slice_poly()
-        results = {
+        return "integrate --emit f", {
             "prefactor": _sym_json(f.prefactor),
             "poly": f.poly.to_json(),
             "value_at_0": _sym_json(f.evaluate(0)),
         }
-        _emit(_report("integrate --emit f", results, t0))
-        return 0
-    k = int(kind[1])
-    poly = si.gap_piece(k)
+    poly = si.gap_piece(int(kind[1]))
     decimals = {str(exps[0]): decimal_str(float(coeff)) for exps, coeff in poly.sorted_terms()}
-    _emit(
-        _report(
-            f"integrate --emit {kind}",
-            {"poly": poly.to_json(), "variable": "x", "decimal_coeffs": decimals},
-            t0=t0,
-        )
-    )
-    return 0
+    return f"integrate --emit {kind}", {"poly": poly.to_json(), "variable": "x", "decimal_coeffs": decimals}
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args):
     from . import sampling as sp
 
-    t0 = time.perf_counter()
     tol = sp.PPT_TOL if args.tol is None else args.tol
     config = sp.SamplerConfig(seed=args.seed, count=args.n, tolerance=tol)
     if args.what == "sep":
-        est = sp.estimate_sep_prob(config, threads=args.threads)
-        _emit(_report("sample sep", est._asdict(), t0, seed=args.seed))
-        return 0
+        return "sample sep", sp.estimate_sep_prob(config, threads=args.threads)._asdict(), args.seed
     stats = sp.conditioned_ppt_stats(args.a, config)
-    _emit(_report("sample conditioned", {"a": args.a, "n": args.n, **stats._asdict()}, t0, seed=args.seed))
-    return 0
+    return "sample conditioned", {"a": args.a, "n": args.n, **stats._asdict()}, args.seed
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from . import checks
 
     results = []
-    t0 = start = time.perf_counter()
+    start = time.perf_counter()
     for name, passed, detail in checks.run_all(seed=args.seed, deep=args.deep):
         seconds = round(time.perf_counter() - start, 3)
         results.append({"name": name, "pass": bool(passed), "detail": detail, "seconds": seconds})
         start = time.perf_counter()
-    rep = _report("verify all", {"deep": args.deep}, t0, seed=args.seed, checks_list=results)
-    _emit(rep)
-    return 0 if rep["pass"] else 1
+    return "verify all", {"deep": args.deep}, args.seed, results
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,11 +328,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        out = args.func(args)
+        rep = _report(time.perf_counter() - t0, *out) if isinstance(out, tuple) else {}
+        # A report goes out as one JSON document, a table one line at a time.
+        for line in [json.dumps(rep, indent=2)] if rep else out:
+            sys.stdout.write(line + "\n")
+        sys.stdout.flush()
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe early: send what is still buffered to
+        # devnull, so that the exit flush stays quiet, and exit 128 + SIGPIPE,
+        # as a shell reports such a writer.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return 1 if rep.get("pass") is False else 0
 
 
 if __name__ == "__main__":

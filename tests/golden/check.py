@@ -1,6 +1,6 @@
 """Compare golden CLI outputs with fresh runs: python tests/golden/check.py [--cmd PREFIX] FILE.json...
-Each file is {"source_commit", "entries": [{"argv", "results" | "checks"}]}; each argv runs as PREFIX argv,
-by default this interpreter with -m sepprob.cli.  Stdlib only, so it runs without numpy."""
+Each file is {"source_commit", "entries": [{"argv", "results" | "checks" | "stdout"}]}; each argv runs as
+PREFIX argv, by default this interpreter with -m sepprob.cli.  Stdlib only, so it runs without numpy."""
 
 import argparse
 import json
@@ -15,9 +15,13 @@ def load(path) -> list:
 
 
 def mismatch(entry: dict, code: int, out: str):
-    """None when a run exits 0 and prints the entry's `results`, or its ordered
-    check names and pass flags; else a line naming the argv and the run's numpy
-    (NEP 19 does not promise numpy's random streams across releases)."""
+    """None when a run exits 0 and prints the entry's `results`, its ordered
+    check names and pass flags, or exactly its `stdout`; else a line naming the
+    argv and, for a JSON report, the run's numpy (NEP 19 does not promise
+    numpy's random streams across releases)."""
+    if "stdout" in entry:
+        ok = code == 0 and out == entry["stdout"]
+        return None if ok else f"{shlex.join(entry['argv'])}: exit {code}, stdout differs from the golden one"
     key = "checks" if "checks" in entry else "results"
     rep = json.loads(out or "{}")
     got = rep.get(key)

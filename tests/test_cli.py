@@ -75,10 +75,14 @@ print(json.dumps({"numpy_imported": "numpy" in sys.modules, "versions": versions
 """
 
 
-def test_exact_verbs_run_without_numpy():
+def _child_env() -> dict:
+    """This environment with the imported package's source first on PYTHONPATH."""
     src = str(Path(sepprob.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _EXACT_VERBS_CHILD], env=env, capture_output=True, text=True)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_exact_verbs_run_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", _EXACT_VERBS_CHILD], env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got == {"numpy_imported": False, "versions": [np.__version__] * 4}
@@ -128,6 +132,13 @@ class TestDensityVerb:
         assert len(rows) == 20
         assert {"chamber", "point", "closed_form", "oracle", "abs_err"} <= set(rows[0])
 
+    def test_failed_oracle_check_exits_1_with_the_report(self, capsys):
+        # The float oracle is off by about 1e-13, far above a 1e-300 tolerance.
+        code, rep, err = run_json(capsys, "density", "--check-oracle", "--points", "5", "--tol", "1e-300")
+        assert code == 1 and err == ""
+        assert rep["pass"] is False and rep["checks"][0]["pass"] is False
+        assert float(rep["results"]["max_abs_err"]) > 1e-300 and len(rep["results"]["rows"]) == 20
+
     def test_grid_csv(self, capsys):
         code, out, _ = run(capsys, "density", "--grid", "20")
         assert code == 0
@@ -135,6 +146,15 @@ class TestDensityVerb:
         assert lines[0] == "r,s,chamber,density"
         assert len(lines) == 1 + 400
         assert any(",C2," in line for line in lines[1:])
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # A reader that stops after the header, as `| head -n 1` does.
+        argv = [sys.executable, "-m", "sepprob.cli", "density", "--grid", "300"]
+        proc = subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "r,s,chamber,density\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == "" and proc.returncode == 141
 
     @pytest.mark.parametrize("order", [("--grid", "2", "--check-oracle"), ("--check-oracle", "--grid", "2")])
     def test_rejects_grid_with_check_oracle(self, capsys, order):

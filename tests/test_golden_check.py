@@ -18,30 +18,35 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def corrupted_copies(tmp_path):
-    """Copies of ``integrate.json`` with the prob entry's value changed and of
-    the plain ``verify all`` entry with its first check failing."""
+    """Copies of ``integrate.json`` with the prob entry's value changed, of
+    the plain ``verify all`` entry with its first check failing, and of the
+    ``density --grid 20`` entry with one digit of its CSV changed."""
     integrate = load(GOLDEN / "integrate.json")
     prob = next(e for e in integrate if e["argv"][-1] == "prob")
     prob["results"]["prob"] = "8/34"
     verify = load(GOLDEN / "verify_all.json")[:1]
     verify[0]["checks"][0]["pass"] = False
+    grid = [e for e in load(GOLDEN / "exact_verbs.json") if e["argv"] == ["density", "--grid", "20"]]
+    grid[0]["stdout"] = grid[0]["stdout"].replace("0.78125", "0.78126", 1)
     paths = []
-    for name, entries in (("integrate.json", integrate), ("verify_all.json", verify)):
+    for name, entries in (("integrate.json", integrate), ("verify_all.json", verify), ("exact_verbs.json", grid)):
         paths.append(tmp_path / name)
         paths[-1].write_text(json.dumps({"source_commit": "corrupted", "entries": entries}))
-    return paths, [prob, verify[0]]
+    return paths, [prob, verify[0], grid[0]]
 
 
 def test_in_process_mismatch_names_the_entry_and_numpy(tmp_path, cli_run):
     _, corrupted = corrupted_copies(tmp_path)
-    for entry in corrupted:
+    for entry in corrupted[:2]:
         msg = mismatch(entry, *cli_run(entry["argv"]))
         assert msg.startswith(shlex.join(entry["argv"]) + ": exit 0, ")
         assert msg.endswith(f"(run with numpy {np.__version__})")
+    grid = corrupted[2]
+    assert mismatch(grid, *cli_run(grid["argv"])) == "density --grid 20: exit 0, stdout differs from the golden one"
     assert mismatch({**corrupted[0], "results": {}}, 1, "") == f"{shlex.join(corrupted[0]['argv'])}: exit 1, results differ from the golden ones (run with numpy None)"
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["results", "checks"])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["results", "checks", "stdout"])
 def test_runner_exits_nonzero_on_the_corrupted_entry(tmp_path, which):
     paths, corrupted = corrupted_copies(tmp_path)
     src = str(Path(sepprob.__file__).resolve().parents[1])
@@ -50,8 +55,10 @@ def test_runner_exits_nonzero_on_the_corrupted_entry(tmp_path, which):
     proc = subprocess.run(cmd + [str(paths[which])], env=env, capture_output=True, text=True)
     total = len(load(paths[which]))
     assert proc.returncode == 1, proc.stderr
+    reason = (f"results differ from the golden ones (run with numpy {np.__version__})",
+              f"checks differ from the golden ones (run with numpy {np.__version__})",
+              "stdout differs from the golden one")[which]
     assert proc.stdout.splitlines() == [
-        f"{paths[which]}: {shlex.join(corrupted[which]['argv'])}: exit 0, "
-        f"{('results', 'checks')[which]} differ from the golden ones (run with numpy {np.__version__})",
+        f"{paths[which]}: {shlex.join(corrupted[which]['argv'])}: exit 0, {reason}",
         f"{total - 1} of {total} golden entries match",
     ]
