@@ -244,7 +244,7 @@ def cmd_sample(args):
     config = sp.SamplerConfig(seed=args.seed, count=args.n, tolerance=tol)
     if args.what == "sep":
         return "sample sep", sp.estimate_sep_prob(config, threads=args.threads)._asdict(), args.seed
-    stats = sp.conditioned_ppt_stats(args.a, config)
+    stats = sp.conditioned_ppt_stats(args.a, config, threads=args.threads)
     return "sample conditioned", {"a": args.a, "n": args.n, **stats._asdict()}, args.seed
 
 
@@ -310,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--a", type=_unit_interval, required=True)
     q.add_argument("--n", type=_positive(int), required=True)
     q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--threads", type=_positive(int), default=1)
     q.add_argument("--tol", type=_positive(float), help="PPT tolerance (default: sampling.PPT_TOL)")
     q.set_defaults(func=cmd_sample)
 

@@ -13,7 +13,9 @@ result, so no field can carry into the next.  Products have one kernel,
 ``product``: ``*`` and ``**`` call it, and it multiplies a whole chain of
 factors before it builds any Fraction.  Substitution has one kernel,
 ``_horner``; ``iterated_integrate`` carries (numerators, denominator) through
-every level and unpacks keys and builds Fractions once, on its result.
+every level and unpacks keys and builds Fractions once, on its result.  It
+can also work modulo a power of one free variable, so a caller that reads
+only the low coefficients never forms the others.
 A residue Res_{z=0} exp(L z) / prod_k (c_k + b_k z) with P zero constants is
 one coefficient: sum_{j<P} L**j / j! * s_{P-1-j} / prod_{c_k=0} b_k, where
 s_d are the scalar power-series coefficients of prod_{c_k!=0} 1/(c_k + b_k z),
@@ -32,6 +34,7 @@ Rational = Fraction
 
 Exponent = tuple[int, ...]
 IntTerms = dict[int, int]  # packed monomial key -> integer numerator over a denominator kept alongside
+Cap = tuple[int, int, int]  # (shift, mask, top): keep terms whose field at shift is at most top
 
 
 def rational_str(q: Fraction) -> str:
@@ -79,14 +82,32 @@ def _fractions(num: IntTerms, den: int, arity: int, width: int) -> dict[Exponent
     return {tuple(k >> s & mask for s in shifts): Fraction(c, den) for k, c in num.items()}
 
 
-def _int_mul_into(acc: IntTerms, left: IntTerms, right: IntTerms) -> None:
-    """acc += left * right, in place, on integer numerators with packed keys."""
+def _int_mul_into(acc: IntTerms, left: IntTerms, right: IntTerms, cap: Cap | None = None) -> None:
+    """acc += left * right, in place, on integer numerators with packed keys.
+
+    With ``cap`` = (shift, mask, top), the product is taken modulo
+    var**(top + 1), var the exponent field at ``shift``: fields add without
+    carry, so a left term of field d meets only the right terms of field at
+    most top - d, and no dropped term is ever formed.
+    """
     get = acc.get
-    pairs = list(right.items())
+    if cap is None:
+        pairs = list(right.items())
+        for e1, c1 in left.items():
+            for e2, c2 in pairs:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
+        return
+    shift, mask, top = cap
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for e2, c2 in right.items():
+        for d in range(top + 1 - (e2 >> shift & mask)):
+            rows[d].append((e2, c2))
     for e1, c1 in left.items():
-        for e2, c2 in pairs:
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
+        if (d := e1 >> shift & mask) <= top:
+            for e2, c2 in rows[d]:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
 
 
 def _by_power(num: IntTerms, shift: int, mask: int) -> dict[int, IntTerms]:
@@ -98,17 +119,20 @@ def _by_power(num: IntTerms, shift: int, mask: int) -> dict[int, IntTerms]:
     return groups
 
 
-def _horner(groups: dict[int, IntTerms], num: IntTerms, den: int) -> tuple[IntTerms, int]:
+def _horner(
+    groups: dict[int, IntTerms], num: IntTerms, den: int, cap: Cap | None = None
+) -> tuple[IntTerms, int]:
     """The one substitution kernel: (h, den**K) with h / den**K equal to
     sum_k groups[k] * (num / den)**k, K the top power, by homogenised Horner
-    on integer numerators (h <- h * num + groups[k] * den**(K - k))."""
+    on integer numerators (h <- h * num + groups[k] * den**(K - k)).  Each
+    product honours ``cap`` (see :func:`_int_mul_into`)."""
     top = max(groups)
     h = groups[top]
     scale = 1
     for k in range(top - 1, -1, -1):
         scale *= den
         acc: IntTerms = {}
-        _int_mul_into(acc, h, num)
+        _int_mul_into(acc, h, num, cap)
         get = acc.get
         for e, c in groups.get(k, {}).items():
             acc[e] = get(e, 0) + c * scale
@@ -427,7 +451,9 @@ def integrate_once(p: MultiPoly, var: int, lower, upper) -> MultiPoly:
 
 
 def iterated_integrate(
-    p: MultiPoly, bounds: Sequence[tuple[int, MultiPoly | int | Fraction, MultiPoly | int | Fraction]]
+    p: MultiPoly,
+    bounds: Sequence[tuple[int, MultiPoly | int | Fraction, MultiPoly | int | Fraction]],
+    truncate: tuple[int, int] | None = None,
 ) -> MultiPoly:
     """Nested definite integral, innermost bound triple first.
 
@@ -435,8 +461,17 @@ def iterated_integrate(
     ValueError, as does integrating a variable twice.  Per level, on integer
     numerators with packed keys: the antiderivative scales var**k by
     lcm(1..K)/(k+1), both bounds go through :func:`_horner`, and one gcd
-    reduces the difference.  The key width is fixed once, from the total
-    degree bound (D + 1) * max(1, bound degrees) of each level in turn.
+    reduces the difference.  A zero bound skips Horner: the antiderivative
+    has no constant term, so it vanishes there.  The key width is fixed
+    once, from the total degree bound (D + 1) * max(1, bound degrees) of
+    each level in turn.
+
+    ``truncate`` = (var, degree) returns the integral modulo
+    var**(degree + 1): the terms of higher degree in ``var`` are dropped from
+    the integrand and never formed in a product.  Truncation commutes with
+    products, antiderivatives in other variables and substitution of their
+    bounds, so the kept terms equal those of the full integral.  Truncating
+    an integrated variable raises ValueError.
     """
     done: set[int] = set()
     plan = []
@@ -456,15 +491,25 @@ def iterated_integrate(
         degree = (degree + 1) * max(1, *(b.degree() for b in pair))
         plan.append((var, pair))
     width = _width(degree)
+    mask = (1 << width) - 1
     num, den = _int_form(p, width)
+    cap = None
+    if truncate is not None:
+        tvar, top = truncate
+        if not 0 <= tvar < p.arity or top < 0:
+            raise ValueError(f"truncation {truncate} out of range")
+        if tvar in done:
+            raise ValueError(f"cannot truncate integrated variable {tvar}")
+        cap = (tvar * width, mask, top)
+        num = {e: c for e, c in num.items() if e >> tvar * width & mask <= top}
     for var, pair in plan:
         if not num:
             break
-        groups = _by_power(num, var * width, (1 << width) - 1)
+        groups = _by_power(num, var * width, mask)
         forms = [_int_form(b, width) for b in pair]
         m = lcm(*range(1, max(groups) + 2))
         groups = {k + 1: {e: c * (m // (k + 1)) for e, c in g.items()} for k, g in groups.items()}
-        (hu, su), (hl, sl) = (_horner(groups, *f) for f in forms)
+        (hu, su), (hl, sl) = (_horner(groups, *f, cap) if f[0] else ({}, 1) for f in forms)
         scale = lcm(su, sl)
         su, sl = scale // su, scale // sl
         num = {e: c * su for e, c in hu.items()}

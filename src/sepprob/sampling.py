@@ -391,8 +391,10 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
         for s, u in _orbit_chunks(rng, size):
             p = u.real**2 + u.imag**2
             # Tr_2 |u><u| = [[|u0|^2 + |u1|^2, u0 u2* + u1 u3*], [., |u2|^2 + |u3|^2]].
-            half_diff = 0.5 * (w @ (p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]))
-            off = w @ (u[:, 0] * u[:, 2].conj() + u[:, 1] * u[:, 3].conj())
+            # Summed column by column, not as w @ (...): BLAS would start
+            # its own threads inside each worker.
+            half_diff = 0.5 * sum(wk * (pk[0] + pk[1] - pk[2] - pk[3]) for wk, pk in zip(w, p))
+            off = sum(wk * (uk[0] * uk[2].conj() + uk[1] * uk[3].conj()) for wk, uk in zip(w, u))
             out[s : s + _CHUNK] = 2.0 * np.sqrt(half_diff**2 + np.abs(off) ** 2)
             del u  # else this chunk stays alive while the next one is drawn
         return out
@@ -558,7 +560,7 @@ def _half_bounded(wt: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return bounded, in_band
 
 
-def conditioned_ppt_stats(a: float, config: SamplerConfig) -> ConditionedStats:
+def conditioned_ppt_stats(a: float, config: SamplerConfig, threads: int = 1) -> ConditionedStats:
     """Separability fraction of ``config.count`` iid flat-measure draws on
     the slice at Bloch radius ``a`` in [0, 1), its binomial stderr, and the
     agreement of the transpose test with lambda_max <= 1/2 + tolerance
@@ -573,7 +575,8 @@ def conditioned_ppt_stats(a: float, config: SamplerConfig) -> ConditionedStats:
     chunk by chunk.  lambda_max <= 1/2 is read from the sign of
     det(I/2 - rho) (``_half_bounded``): at most one eigenvalue of a
     trace-one state exceeds 1/2, so no state needs a full eigensolve except
-    the few with |det(I/2 - rho)| < max(tolerance, 1e-7)."""
+    the few with |det(I/2 - rho)| < max(tolerance, 1e-7).  The blocks run
+    on ``threads`` threads and the counts are the same at any thread count."""
     if not 0.0 <= a < 1.0:
         raise ValueError("Bloch radius must lie in [0, 1)")
     tol = config.tolerance
@@ -588,7 +591,7 @@ def conditioned_ppt_stats(a: float, config: SamplerConfig) -> ConditionedStats:
     def block_stats(rng, size):
         return np.sum([chunk_counts(gt) for _, gt in _ginibre_chunks(rng, size)], axis=0, keepdims=True)
 
-    counts = _blocked_map(block_stats, config.count, config.seed, 1, _SLICE_STREAMS).sum(axis=0)
+    counts = _blocked_map(block_stats, config.count, config.seed, threads, _SLICE_STREAMS).sum(axis=0)
     ppt, indeterminate, in_band, agree = (int(c) for c in counts)
     frac, outside = ppt / config.count, config.count - in_band
     stderr = math.sqrt(frac * (1.0 - frac) / config.count)

@@ -145,50 +145,51 @@ def _full_integrand(k: int, branch: str | None) -> MultiPoly:
 
 # Iterated integration bounds, innermost triple first.  Each bound is affine
 # and may depend on x and on the not-yet-integrated gap variables only.
-def _bounds(name: str) -> list[tuple[int, MultiPoly, MultiPoly]]:
+@lru_cache(maxsize=None)
+def _bounds(name: str) -> tuple[tuple[int, MultiPoly, MultiPoly], ...]:
     zero = _affine()
     if name == "R1a":
-        return [
+        return (
             (T1, _affine(x=1, t3=_F(1, 3)), _affine(_F(1, 3), t2=_F(-1, 3), t3=_F(-1, 9))),
             (T2, zero, _affine(1, x=-3, t3=_F(-4, 3))),
             (T3, zero, _affine(_F(3, 4), x=_F(-9, 4))),
-        ]
+        )
     if name == "R1b":
-        return [
+        return (
             (T3, _affine(x=3, t1=3), _affine(1, t1=-1, t2=-1)),
             (T1, zero, _affine(_F(1, 4), x=_F(-3, 4), t2=_F(-1, 4))),
             (T2, zero, _affine(1, x=-3)),
-        ]
+        )
     if name == "Delta3":
-        return [
+        return (
             (T1, zero, _affine(1, t2=-1, t3=-1)),
             (T2, zero, _affine(1, t3=-1)),
             (T3, zero, _affine(1)),
-        ]
+        )
     if name in ("R2a", "R3a"):
-        return [
+        return (
             (T1, _affine(_F(1, 3), t2=_F(-1, 3), t3=_F(-1, 9)), _affine(1, t2=-1, t3=-1)),
             (T2, zero, _affine(1, t3=_F(-4, 3))),
             (T3, zero, _affine(_F(3, 4))),
-        ]
+        )
     if name == "R2b":
-        return [
+        return (
             (T2, zero, _affine(1, t1=-1, t3=-1)),
             (T1, zero, _affine(x=1, t3=_F(-1, 3))),
             (T3, zero, _affine(x=3)),
-        ]
+        )
     if name == "R2ab":
-        return [
+        return (
             (T2, _affine(1, t1=-3, t3=_F(-1, 3)), _affine(1, t1=-1, t3=-1)),
             (T1, _affine(t3=_F(1, 3)), _affine(x=1, t3=_F(-1, 3))),
             (T3, zero, _affine(x=_F(3, 2))),
-        ]
+        )
     if name == "R3b":
-        return [
+        return (
             (T1, zero, _affine(x=1, t2=-1, t3=_F(-1, 3))),
             (T2, zero, _affine(x=1, t3=_F(-1, 3))),
             (T3, zero, _affine(x=3)),
-        ]
+        )
     raise ValueError(f"unknown region {name!r}")
 
 
@@ -205,12 +206,14 @@ REGION_DECOMPOSITION: dict[int, list[tuple[str, int, str | None]]] = {
 _MEASURE_FACTOR = _F(2, 24)
 
 
-def region_integral(name: str, integrand: MultiPoly) -> MultiPoly:
+def region_integral(name: str, integrand: MultiPoly, truncate: tuple[int, int] | None = None) -> MultiPoly:
     """Exact iterated integral of ``integrand`` over one named region.
 
-    The result is a univariate polynomial in the free gap parameter x.
+    The result is a univariate polynomial in the free gap parameter x, taken
+    modulo x**(d + 1) when ``truncate`` is (X, d) (see
+    :func:`iterated_integrate`).
     """
-    return extract_univariate(iterated_integrate(integrand, _bounds(name)), X)
+    return extract_univariate(iterated_integrate(integrand, _bounds(name), truncate), X)
 
 
 def region_volume(name: str, at_x) -> Fraction:
@@ -279,9 +282,32 @@ def gap_piece(k: int) -> MultiPoly:
     return total
 
 
+def _region_sum(truncate: tuple[int, int] | None = None) -> MultiPoly:
+    """The sum of the three partial integrals with one iterated integral per
+    distinct set of region bounds, taken on the signed sum of the integrands
+    that share it: Delta3 carries k = 2 and k = 3, and R2a has the bounds of
+    R3a, so the nine regions of ``REGION_DECOMPOSITION`` need seven
+    integrals.  ``truncate`` passes through to :func:`region_integral`."""
+    integrands: dict[tuple[int, str | None], MultiPoly] = {}
+    shared: dict[tuple, list[tuple[str, int, MultiPoly]]] = {}
+    for k, parts in REGION_DECOMPOSITION.items():
+        for name, sign, branch in parts:
+            if (k, branch) not in integrands:
+                integrands[k, branch] = _full_integrand(k, branch)
+            shared.setdefault(_bounds(name), []).append((name, sign, integrands[k, branch]))
+    total = MultiPoly(1)
+    for (name, sign, integrand), *rest in shared.values():
+        for _, other, p in rest:
+            integrand = integrand + (p if other == sign else -p)
+        total = total + region_integral(name, integrand, truncate) * sign
+    return total * _MEASURE_FACTOR
+
+
 @lru_cache(maxsize=None)
 def gap_piece_sum() -> MultiPoly:
-    return gap_piece(1) + gap_piece(2) + gap_piece(3)
+    """gap_piece(1) + gap_piece(2) + gap_piece(3) as one full polynomial in x,
+    by seven region integrals instead of nine (see :func:`_region_sum`)."""
+    return _region_sum()
 
 
 @dataclass(frozen=True)
@@ -309,20 +335,29 @@ def _content(p: MultiPoly) -> Fraction:
     return Fraction(gcd(*nums), lcm(*dens)) if nums else Fraction(1)
 
 
+# f(a) = pi^5 * _SLICE_SCALE * (gap_piece_sum() / x^2) at x = a.
+_SLICE_SCALE = 128
+
+
+def _radial_reduced(total: MultiPoly) -> MultiPoly:
+    """total / x^2.  The partial integrals carry an overall x^2 factor that
+    must cancel against the radial density; failure to cancel means an
+    integration bug upstream and raises ArithmeticError."""
+    if total.min_degree_in(0) < 2:
+        raise ArithmeticError("radial factor x^2 did not cancel; integration is inconsistent")
+    return total.shift_down(0, 2)
+
+
 @lru_cache(maxsize=None)
 def separable_slice_poly() -> RadialVolumePoly:
     """The half-bounded slice volume f(a) (lambda_max <= 1/2) as a function of
     the Bloch radius a; it is the separable slice volume only at a = 0.
 
-    Valid on [0, 1/3]; the value at 0 extends by continuity.  The partial
-    integrals carry an overall x^2 factor that must cancel against the
-    radial density; failure to cancel means an integration bug upstream and
-    raises immediately.
+    Valid on [0, 1/3]; the value at 0 extends by continuity.  Built from the
+    full :func:`gap_piece_sum`, which must carry the factor x^2
+    (:func:`_radial_reduced`).
     """
-    total = gap_piece_sum()
-    if total.min_degree_in(0) < 2:
-        raise ArithmeticError("radial factor x^2 did not cancel; integration is inconsistent")
-    q = total.shift_down(0, 2) * 128
+    q = _radial_reduced(gap_piece_sum()) * _SLICE_SCALE
     content = _content(q)
     return RadialVolumePoly(SymbolicReal(content, pi_power=5), q / content)
 
@@ -380,8 +415,19 @@ def radial_volume_identity_holds() -> bool:
 
 
 def separability_probability() -> Fraction:
-    """The headline ratio: separable slice volume over slice volume at 0."""
-    sep = separable_slice_volume(0)
+    """The headline ratio f(0) / V(0): separable slice volume over slice
+    volume at radius 0.
+
+    f(0) is 128 pi^5 times the x^2 coefficient of the summed partial
+    integrals, so this route computes that sum modulo x^3: the same
+    seven region integrals as :func:`gap_piece_sum`, with x^0 to x^2 carried
+    through them and the higher powers never formed.  The x^0 and x^1
+    coefficients must vanish, or ArithmeticError is raised.  The verbs that
+    print polynomials, ``integrate --emit f`` and ``--emit M1..M3``, keep
+    the full ones.
+    """
+    low = _radial_reduced(_region_sum(truncate=(X, 2)))
+    sep = SymbolicReal(low.coefficient((0,)) * _SLICE_SCALE, pi_power=5)
     full = ZERO_CONDITIONED_VOLUME
     ratio = sep / full
     if ratio.pi_power != 0 or ratio.radicand != 1:

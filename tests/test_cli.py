@@ -271,6 +271,13 @@ class TestSampleVerb:
         assert {"fraction", "agreement_halfbound", "band_count"} <= set(res)
         assert res["stderr"] == math.sqrt(res["fraction"] * (1 - res["fraction"]) / 1000)
 
+    def test_conditioned_results_do_not_depend_on_threads(self, capsys):
+        # 70,000 draws make three blocks, so two threads split the work.
+        argv = ("sample", "conditioned", "--a", "0.4", "--n", "70000", "--seed", "8")
+        _, rep1, _ = run_json(capsys, *argv, "--threads", "1")
+        _, rep2, _ = run_json(capsys, *argv, "--threads", "2")
+        assert rep1["results"] == rep2["results"]
+
     @pytest.mark.parametrize("flag", ["--burn", "--thin", "--chains"])
     def test_conditioned_has_no_walk_knobs(self, capsys, flag):
         code, out, _ = run(capsys, "sample", "conditioned", "--a", "0.2", "--n", "100", flag, "10")

@@ -1,9 +1,10 @@
 """Algebraic laws of MultiPoly stated as hypothesis properties: the ring
 laws, substitution as a ring homomorphism, compose and products against
 evaluation, the product rule and inverse of the derivative, the chain product
-kernel against operator steps, and the packed-key integer kernels (products,
+kernel against operator steps, the packed-key integer kernels (products,
 substitution, iterated integrals) against a reference on plain exponent
-tuples and Fractions."""
+tuples and Fractions, and iterated integrals modulo a power of a free
+variable against the full integral with its higher terms dropped."""
 
 from fractions import Fraction
 from operator import add
@@ -187,6 +188,37 @@ def integration_plans(draw):
 @given(polys(max_degree=3), integration_plans())
 def test_iterated_integral_matches_fraction_reference(p, bounds):
     assert iterated_integrate(p, bounds) == _ref_iterated_integrate(p, bounds)
+
+
+@st.composite
+def truncated_plans(draw):
+    """(bounds, (var, degree)): a plan that integrates only variables other
+    than ``var``, with affine bounds that may contain ``var``."""
+    var = draw(variables)
+    order = draw(st.permutations([v for v in range(ARITY) if v != var]))[: draw(st.integers(1, ARITY - 1))]
+    bounds = []
+    for i, v in enumerate(order):
+        free = [u for u in range(ARITY) if u not in order[: i + 1]]
+        bounds.append((v, draw(affine_bounds(free)), draw(affine_bounds(free))))
+    return bounds, (var, draw(st.integers(0, 3)))
+
+
+@EXAMPLES
+@example(MultiPoly(ARITY, {(3, 1, 0): 2, (1, 0, 2): 1}), ([], (0, 1)))  # no level: the integrand itself
+@given(polys(max_degree=3), truncated_plans())
+def test_truncated_iterated_integral_drops_only_the_higher_terms(p, plan):
+    bounds, (var, top) = plan
+    full = iterated_integrate(p, bounds)
+    got = iterated_integrate(p, bounds, (var, top))
+    assert got.terms == {e: c for e, c in full.terms.items() if e[var] <= top}
+
+
+@EXAMPLES
+@given(polys(), integration_plans(), st.integers(0, 3))
+def test_truncating_an_integrated_variable_raises(p, bounds, top):
+    for var, _, _ in bounds:
+        with pytest.raises(ValueError, match="integrated variable"):
+            iterated_integrate(p, bounds, (var, top))
 
 
 @EXAMPLES

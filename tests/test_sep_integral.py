@@ -282,6 +282,11 @@ class TestPartialIntegrals:
     def test_sum_matches_factored_form(self):
         assert gap_piece_sum() == expected_sum()
 
+    def test_shared_region_sum_equals_sum_of_pieces(self):
+        # Seven integrals, one per distinct set of bounds, against nine, one
+        # per region of each partial integral.
+        assert gap_piece_sum() == gap_piece(1) + gap_piece(2) + gap_piece(3)
+
     def test_sum_times_denominator_is_factored_polynomial(self):
         lhs = gap_piece_sum() * 40874803200
         x = x1()
@@ -571,3 +576,23 @@ class TestProbability:
     def test_pi_powers_cancel(self):
         ratio = separable_slice_volume(0) / ZERO_CONDITIONED_VOLUME
         assert ratio.pi_power == 0 and ratio.radicand == 1
+
+    def test_route_modulo_x3_matches_full_slice_volume(self):
+        ratio = separable_slice_volume(0) / ZERO_CONDITIONED_VOLUME
+        assert ratio == SymbolicReal(separability_probability())
+
+    def test_route_modulo_x3_rejects_a_lost_factor_x(self, monkeypatch):
+        # Negative control: without its factor x the third contribution
+        # brings x^0 and x^1 terms into the sum, which must raise.
+        factors = si._contribution_factors
+
+        def third_without_x(k, branch):
+            fs, scale = factors(k, branch)
+            if k == 3:
+                assert fs[-1] == si._affine(x=1)
+                fs = fs[:-1]
+            return fs, scale
+
+        monkeypatch.setattr(si, "_contribution_factors", third_without_x)
+        with pytest.raises(ArithmeticError, match="did not cancel"):
+            separability_probability()
