@@ -289,7 +289,7 @@ def check_sampling_core(seed: int) -> Check:
         return False, "maximally entangled state passed the transpose test"
     # 2000 unnormalised G G^dag draws, plus the Werner state at p = 1/3
     # (lambda_min = 0), which takes the eigvalsh fallback.
-    g = sp._ginibre(4, sp.stream_rng(seed, 1), 2000)
+    g = next(sp._ginibre_chunks(sp.stream_rng(seed, 1), 2000))[1].T.reshape(2000, 4, 4)
     mismatch = gram_flat_mismatch(g)
     if mismatch:
         return False, f"column-layout G G^dag disagrees with matmul: {mismatch}"

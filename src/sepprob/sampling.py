@@ -94,29 +94,18 @@ def is_valid_density_matrix(rho: np.ndarray) -> bool:
     return float(np.linalg.eigvalsh(rho)[0]) >= -PSD_TOL
 
 
-def _ginibre(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    g = np.empty((size, n, n), dtype=complex)
-    g.real = rng.standard_normal(g.shape)
-    g.imag = rng.standard_normal(g.shape)
-    # Complex / real division multiplies by the reciprocal, so scaling the
-    # float view gives the same bits as (a + 1j*b) / sqrt(2).
-    g.view(float)[...] *= 1.0 / np.sqrt(2.0)
-    return g
-
-
 def _ginibre_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, np.ndarray]]:
     """The one flat-measure draw of the estimator and the slice sampler: the
     4x4 Ginibre matrices of a ``size``-sample block as (start, gt) per chunk
     of m <= ``_CHUNK`` samples, gt of shape (16, m) in the column layout of
-    ``_gram_flat`` (row 4r + c holds G[r, c]).
+    ``_gram_flat`` (row 4r + c holds G[r, c]), each entry
+    (a + 1j*b) / sqrt(2) with a and b standard normals.
 
-    Bit for bit ``_ginibre(4, rng, size).reshape(size, 16)[s : s + m].T``.
     The stream holds every real normal of the block before the first
     imaginary one, so the real plane is read whole as
     standard_normal((size, 16)); the imaginary plane is read one chunk at a
     time as standard_normal((m, 16)), which gives the same numbers as one
-    call because ``standard_normal`` carries no state between calls.  Both
-    planes are scaled by the same 1/sqrt(2) as in ``_ginibre``."""
+    call because ``standard_normal`` carries no state between calls."""
     scale = 1.0 / np.sqrt(2.0)
     re = rng.standard_normal((size, 16))
     re *= scale
@@ -131,20 +120,28 @@ def _ginibre_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, 
 
 
 def hs_random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One density matrix under the flat measure: G G^dag normalized, with G
-    a square standard complex Gaussian matrix."""
+    """One two-qubit density matrix (``n`` = 4) under the flat measure:
+    G G^dag / tr(G G^dag), with G a 4x4 standard complex Gaussian matrix."""
     return _hs_random_block(n, rng, 1)[0]
 
 
 def _hs_random_block(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    g = _ginibre(n, rng, size)
-    rho = g @ g.conj().transpose(0, 2, 1)
-    tr = np.einsum("bii->b", rho).real
-    return rho / tr[:, None, None]
+    """``size`` flat-measure states as (size, 4, 4): the ``_ginibre_chunks``
+    draw through ``_gram_flat``, divided by its trace, as the estimator's
+    decision reads it."""
+    if n != 4:
+        raise ValueError("the flat-measure sampler draws two-qubit states (n = 4)")
+    rho = np.empty((size, 16), dtype=complex)
+    for s, gt in _ginibre_chunks(rng, size):
+        wt = _gram_flat(gt)
+        rho[s : s + _CHUNK] = (wt / (wt[0] + wt[5] + wt[10] + wt[15]).real).T
+    return rho.reshape(size, 4, 4)
 
 
 def hs_random_states(n: int, count: int, seed: int, threads: int = 1) -> np.ndarray:
-    """Batch of flat-measure states, reproducible regardless of thread count."""
+    """``count`` flat-measure states (``n`` = 4), reproducible regardless of
+    thread count: the very states ``estimate_sep_prob`` decides on for the
+    same seed."""
     return _blocked_map(lambda rng, size: _hs_random_block(n, rng, size), count, seed, threads)
 
 

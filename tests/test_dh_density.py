@@ -11,8 +11,8 @@ from reference import (
     project_to_plane,
     weights_from_roots,
 )
+from sepprob.checks import SPEC_45, random_simple_centered
 from sepprob.dh_density import (
-    CHAMBER_LABELS,
     DISTINCT_WEIGHTS,
     MarginalSupport,
     classify_chamber,
@@ -27,17 +27,6 @@ from sepprob.dh_density import (
 )
 from sepprob.exactmath import MultiPoly
 from sepprob.volumes import CenteredSpectrum, Spectrum
-
-SPEC_45 = CenteredSpectrum([F(1, 5), F(1, 50), F(-7, 100), F(-3, 20)])
-
-
-def random_simple_centered(rng):
-    while True:
-        raw = sorted({F(rng.randint(1, 300), 601) for _ in range(4)}, reverse=True)
-        if len(raw) == 4:
-            total = sum(raw)
-            return CenteredSpectrum([x / total - F(1, 4) for x in raw])
-
 
 class TestWeights:
     def test_multiset(self):
@@ -120,25 +109,6 @@ class TestFiberOracle:
 
     def test_boundary(self):
         assert abs(fiber_polytope_density((-1, 1))) < 1e-9
-
-    def test_agreement_random_points(self):
-        rng = random.Random(17)
-        d = convolution_density_closed()
-        den = 499
-        for label in CHAMBER_LABELS:
-            for _ in range(100):
-                r = F(-rng.randint(1, 5 * den), den)
-                if label == "C1":
-                    s = F(rng.randint(0, -r.numerator), den)
-                elif label == "C2":
-                    s = F(rng.randint(r.numerator, 0), den)
-                elif label == "C3":
-                    s = r - F(rng.randint(0, 3 * den), den)
-                else:
-                    r = F(rng.randint(1, 2 * den), den)
-                    s = F(rng.randint(-2 * den, 2 * den), den)
-                err = abs(fiber_polytope_density((r, s)) - float(d.evaluate(r, s)))
-                assert err < 1e-9, (label, r, s, err)
 
 
 class TestMarginalSupport:
@@ -269,22 +239,6 @@ class TestExactCdf:
 
 
 class TestMarginalOracle:
-    SPECTRA = [
-        SPEC_45,
-        CenteredSpectrum([F(1, 10), F(1, 100), F(-7, 200), F(-3, 40)]),
-        CenteredSpectrum([F(9, 40), F(1, 40), F(-2, 40), F(-8, 40)]),
-    ]
-
-    def test_agreement_grid(self):
-        for c in self.SPECTRA:
-            d = marginal_gap_density(c)
-            b3 = float(marginal_support(c).b3)
-            for i in range(1, 51):
-                x = b3 * i / 52
-                got = marginal_gap_density_numeric(c, x)
-                want = d.evaluate_float(x)
-                assert abs(got - want) < 1e-6, (c.entries, x, got, want)
-
     def test_inside_first_interval(self):
         b1 = float(marginal_support(SPEC_45).b1)
         x = 0.5 * b1

@@ -407,7 +407,7 @@ class TestIteratedIntegration:
     def test_simplex_quadratic_moment_vs_quadrature(self):
         # Independent check of a degree-6 integrand against tensor
         # Gauss-Legendre quadrature (exact for polynomials).
-        import numpy as np
+        np = pytest.importorskip("numpy")
 
         integrand = x_(3, 0) ** 2 * x_(3, 1) * (x_(3, 2) + const(1, 3)) ** 3
         exact = iterated_integrate(integrand, self.simplex_bounds()).evaluate([0, 0, 0])

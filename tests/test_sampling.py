@@ -2,8 +2,14 @@
 slice sampler and its reference walk, and their statistical properties at
 small scale.
 
-Statistical assertions run at fixed seeds, so they are deterministic; the
-thresholds were set with slack against reasonable seed changes.
+``hs_random_states`` gives the states ``estimate_sep_prob`` decides on, and
+``reference.ginibre`` is the whole-block draw that ``_ginibre_chunks`` streams,
+bit for bit.  The full-scale global fraction, slice fractions, half-bound
+agreement and orbit histogram are acceptance criteria 7-10, and the sampling
+core and fixed-spectrum checks of verify all hold their small-scale
+counterparts.  Statistical assertions run at fixed seeds, so they are
+deterministic; the thresholds were set with slack against reasonable seed
+changes.
 """
 
 import tracemalloc
@@ -12,7 +18,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from reference import marginal_gaps_block, moment_polytope
+from reference import ginibre, marginal_gaps_block, moment_polytope
 from sepprob import sampling as sp
 from sepprob.checks import SPEC_45, conditioned_slices, gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
 from sepprob.dh_density import marginal_gap_density, marginal_support
@@ -110,8 +116,8 @@ class TestGramSchmidtCore:
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-10])
     def test_unitary_for_nearly_parallel_columns(self, eps):
         rng = sp.stream_rng(32)
-        cols = sp._ginibre(4, rng, 2000).T.copy()  # (column, row, batch)
-        cols[1] = cols[0] + eps * sp._ginibre(4, rng, 2000).T[0]
+        cols = ginibre(4, rng, 2000).T.copy()  # (column, row, batch)
+        cols[1] = cols[0] + eps * ginibre(4, rng, 2000).T[0]
         q = sp._cgs2(cols)
         gram = np.einsum("mib,nib->bmn", q.conj(), q)
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
@@ -152,7 +158,7 @@ class TestTransposeTest:
 
     def test_local_unitary_invariance(self):
         states = sp.hs_random_states(4, 10_000, seed=14)
-        u_a, u_b = (phase_fixed_qr(sp._ginibre(2, sp.stream_rng(7, k), 1))[0] for k in (1, 2))
+        u_a, u_b = (phase_fixed_qr(ginibre(2, sp.stream_rng(7, k), 1))[0] for k in (1, 2))
         u = np.kron(u_a, u_b)
         mins = sp.ppt_min_eigs(states)
         mins_rot = sp.ppt_min_eigs(np.einsum("ij,bjk,lk->bil", u, states, u.conj()))
@@ -162,7 +168,7 @@ class TestTransposeTest:
 
 
 def gaussian_squares(seed: int, count: int) -> np.ndarray:
-    g = sp._ginibre(4, sp.stream_rng(seed), count)
+    g = ginibre(4, sp.stream_rng(seed), count)
     return g @ g.conj().transpose(0, 2, 1)
 
 
@@ -209,7 +215,7 @@ CHUNKS = [(1, 0), (7, 0), (sp._CHUNK, 0), (2 * sp._CHUNK + 5, 2 * sp._CHUNK)]
 
 
 def ginibre_chunk(size: int, start: int) -> np.ndarray:
-    g = sp._ginibre(4, sp.stream_rng(41, size), size)
+    g = ginibre(4, sp.stream_rng(41, size), size)
     return g[start : start + sp._CHUNK]
 
 
@@ -231,7 +237,7 @@ class TestFlatKernel:
 
     @pytest.mark.parametrize("size", [1, 7, sp._CHUNK, sp._CHUNK + 1, 2 * sp._CHUNK + 5, sp._BLOCK])
     def test_streamed_draw_is_the_whole_block_draw(self, size):
-        want = sp._ginibre(4, sp.stream_rng(42, size), size).reshape(size, 16)
+        want = ginibre(4, sp.stream_rng(42, size), size).reshape(size, 16)
         starts = []
         for start, gt in sp._ginibre_chunks(sp.stream_rng(42, size), size):
             m = min(sp._CHUNK, size - start)
@@ -282,7 +288,7 @@ class TestSepEstimator:
     def test_unitary_rotation_keeps_fraction(self):
         n = 20_000
         est = sp.estimate_sep_prob(sp.SamplerConfig(seed=19, count=n))
-        u = phase_fixed_qr(sp._ginibre(4, sp.stream_rng(99), 1))[0]
+        u = phase_fixed_qr(ginibre(4, sp.stream_rng(99), 1))[0]
         rotated = np.einsum("ij,bjk,lk->bil", u, sp.hs_random_states(4, n, seed=19), u.conj())
         frac_rot = float(np.mean(sp.ppt_min_eigs(rotated) >= -sp.PPT_TOL))
         assert abs(est.fraction - frac_rot) <= 3 * np.sqrt(2) * est.stderr
@@ -516,7 +522,7 @@ class TestSliceSampler:
         # The same draws, filtered and not: the filter is an invertible local
         # operation, so no sample may change its PPT verdict.
         n = 50_000
-        raw = sp._ginibre(4, sp.stream_rng(53), n).reshape(n, 16).T.copy()
+        raw = ginibre(4, sp.stream_rng(53), n).reshape(n, 16).T.copy()
         filtered = sp._slice_filter(a, raw.copy())
         before = sp._ppt_decide_flat(sp._gram_flat(raw), sp.PPT_TOL)[0]
         after = sp._ppt_decide_flat(sp._gram_flat(filtered), sp.PPT_TOL)[0]
@@ -564,7 +570,7 @@ class TestSliceSampler:
         # state at 1/2 + tol/2 and one at 1/2 + 2 tol.  For tol = 1e-3 the
         # last two have |det(I/2 - rho)| near 2e-5 and 7e-5, above the 1e-7
         # floor, so a det-only verdict would miscount the first.
-        u = phase_fixed_qr(sp._ginibre(4, sp.stream_rng(63), 1))[0]
+        u = phase_fixed_qr(ginibre(4, sp.stream_rng(63), 1))[0]
         specials = [np.diag([0.5, 0.5, 0.0, 0.0])]
         for x in (tol / 2, 2 * tol):
             specials.append(np.diag([0.5 + x] + 3 * [(0.5 - x) / 3]))
@@ -619,11 +625,8 @@ def test_ppt_fraction_constant_across_marginal_radius():
     p = 8 / 33
 
     def block(rng, size):
-        wt = sp._gram_flat(sp._ginibre(4, rng, size).reshape(size, 16).T.copy())
-        ppt = sp._ppt_decide_flat(wt, sp.PPT_TOL)[0]
-        w = wt.T.reshape(size, 4, 4)
-        radius = marginal_gaps_block(w / np.einsum("bii->b", w).real[:, None, None])
-        return np.stack([ppt, radius], axis=1)
+        states = sp._hs_random_block(4, rng, size)
+        return np.stack([sp._ppt_decide(states, sp.PPT_TOL)[0], marginal_gaps_block(states)], axis=1)
 
     ppt, radius = sp._blocked_map(block, 1 << 20, 62, 1).T
     bins = np.digitize(radius, [0.2, 0.4, 0.6])
@@ -661,3 +664,7 @@ class TestConfigValidation:
         # a zero count further down.
         with pytest.raises(ValueError, match="count must be at least 1"):
             draw()
+
+    def test_flat_sampler_rejects_other_dimensions(self):
+        with pytest.raises(ValueError, match="two-qubit"):
+            sp.hs_random_states(3, 10, 1)

@@ -1,9 +1,13 @@
 """The exact pipeline: change of variables, regions, partial integrals, the
 radial volume polynomial, and the final probability.
 
-Expected polynomial constants are frozen from their published factored forms
-and rebuilt here with bare ring operations, independent of the integration
-machinery under test.
+The published closed forms of 8/33, the slice-volume polynomial, the first
+and third partial integrals and their sum are acceptance criteria 1-3, and
+verify all's "exact pipeline" and "integration regions" checks cover the
+Vandermonde, the equal halves and the region spot values.  The expected
+constants frozen here (the second partial's expansion, the per-region
+partials, the half-bounded fractions) are rebuilt with bare ring operations,
+independent of the integration machinery under test.
 """
 
 import random
