@@ -32,19 +32,10 @@ from .volumes import Spectrum
 
 
 def _versions() -> dict:
-    """Package versions; numpy's comes from its metadata when it is not
-    loaded, and is None when numpy is not installed."""
+    """Package versions; numpy's is the one this run loaded, None when the
+    verb ran without importing numpy."""
     np = sys.modules.get("numpy")
-    if np is not None:
-        numpy_version = np.__version__
-    else:
-        from importlib.metadata import PackageNotFoundError, version
-
-        try:
-            numpy_version = version("numpy")
-        except PackageNotFoundError:
-            numpy_version = None
-    return {"sepprob": __version__, "python": platform.python_version(), "numpy": numpy_version}
+    return {"sepprob": __version__, "python": platform.python_version(), "numpy": np.__version__ if np else None}
 
 
 def _report(seconds: float, command: str, results, seed=None, checks_list=None) -> dict:

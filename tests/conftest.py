@@ -2,10 +2,21 @@ import contextlib
 import functools
 import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import sepprob
 from sepprob.cli import main
+
+
+@pytest.fixture(scope="session")
+def child_env() -> dict:
+    """This environment with the imported package's source first on
+    PYTHONPATH, for tests that run the CLI in a fresh interpreter."""
+    src = str(Path(sepprob.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

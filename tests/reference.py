@@ -14,8 +14,6 @@ flat-measure Ginibre draw of a whole block in one array.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from sepprob.dh_density import MarginalSupport, PiecewisePoly1D, marginal_support
 from sepprob.exactmath import MultiPoly
 from sepprob.sep_integral import T1, T2, T3, X
@@ -178,11 +176,13 @@ def bounds_by_operators(name: str) -> list[tuple[int, MultiPoly, MultiPoly]]:
     }[name if name != "R3a" else "R2a"]
 
 
-def ginibre(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+def ginibre(n: int, rng, size: int):
     """``size`` n x n complex Gaussian matrices (a + 1j*b) / sqrt(2), shape
     (size, n, n), every real normal drawn before the first imaginary one.
     For n = 4, ``ginibre(4, rng, size).reshape(size, 16)[s : s + m].T`` is bit
     for bit the chunk that ``sampling._ginibre_chunks(rng, size)`` yields at s."""
+    import numpy as np
+
     g = np.empty((size, n, n), dtype=complex)
     g.real = rng.standard_normal(g.shape)
     g.imag = rng.standard_normal(g.shape)
@@ -192,9 +192,11 @@ def ginibre(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     return g
 
 
-def marginal_gaps_block(states: np.ndarray) -> np.ndarray:
+def marginal_gaps_block(states):
     """Eigenvalue gap of the first qubit's reduced state, for a (b, 4, 4)
-    batch of density matrices."""
+    numpy batch of density matrices."""
+    import numpy as np
+
     red = np.einsum("bijkj->bik", states.reshape(-1, 2, 2, 2, 2))
     half_diff = 0.5 * (red[:, 0, 0] - red[:, 1, 1]).real
     return 2.0 * np.sqrt(half_diff**2 + np.abs(red[:, 0, 1]) ** 2)

@@ -1,11 +1,16 @@
 """Every golden entry, run in-process and compared by `golden/check.py`, the runner CI
 calls.  Regenerate an entry only for a deliberate change of output, and name the entry
-and the reason in CHANGES.md."""
+and the reason in CHANGES.md.  Every verb has an entry, and a key of a report's
+`results` that no entry pins must be listed in COVERED_ELSEWHERE with its test."""
 
+import argparse
+import json
 from pathlib import Path
 
 import pytest
 from golden.check import load, mismatch
+
+from sepprob.cli import build_parser
 
 ENTRIES = {f.name: load(f) for f in (Path(__file__).parent / "golden").glob("*.json")}
 
@@ -36,3 +41,32 @@ test_verify_all_matches_golden = golden_test("verify_all.json")
 
 def test_golden_covers_every_emit():
     assert len(ENTRIES) == 6 and sorted(e["argv"][-1] for e in ENTRIES["integrate.json"]) == ["M1", "M2", "M3", "f", "prob"]
+
+
+# Keys of a report's `results` that no golden entry pins, by report command,
+# each with the test that asserts it.
+COVERED_ELSEWHERE = {
+    "verify all": {"deep": "test_cli.py::TestVerifyVerb::test_verify_all_passes"},
+}
+
+
+def verb_paths(parser, prefix=()) -> set:
+    """Every verb of the CLI, with its sub-verbs: ("volumes",), ("sample", "sep"), ..."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix}
+    return set().union(*(verb_paths(p, prefix + (name,)) for name, p in subs[0].choices.items()))
+
+
+def test_every_results_key_is_pinned_or_covered(cli_run):
+    entries = [e for file_entries in ENTRIES.values() for e in file_entries]
+    unpinned_verbs = [p for p in verb_paths(build_parser()) if not any(e["argv"][:len(p)] == list(p) for e in entries)]
+    assert unpinned_verbs == []
+    reported, pinned = {}, {}
+    for e in entries:
+        if "stdout" not in e:
+            rep = json.loads(cli_run(e["argv"])[1])
+            reported.setdefault(rep["command"], set()).update(rep["results"])
+            pinned.setdefault(rep["command"], set()).update(e.get("results", ()))
+    unpinned = {command: keys - pinned[command] for command, keys in reported.items() if keys - pinned[command]}
+    assert unpinned == {command: set(keys) for command, keys in COVERED_ELSEWHERE.items()}
