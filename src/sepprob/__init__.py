@@ -2,18 +2,3 @@
 Hilbert-Schmidt separability probability 8/33."""
 
 __version__ = "0.1.0"
-
-from .exactmath import MultiPoly, Rational, SymbolicReal
-from .sep_integral import separability_probability, separable_slice_poly
-from .volumes import CenteredSpectrum, Spectrum
-
-__all__ = [
-    "MultiPoly",
-    "Rational",
-    "SymbolicReal",
-    "Spectrum",
-    "CenteredSpectrum",
-    "separability_probability",
-    "separable_slice_poly",
-    "__version__",
-]

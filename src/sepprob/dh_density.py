@@ -101,19 +101,16 @@ def convolution_density_jump() -> PiecewiseChamberDensity:
     """Re-derive the chamber density by residue jumps across the three walls.
 
     Starting from zero outside the support, each crossing adds the residue of
-    exp(<mu, z e>) over the off-wall linear factors <w, z e>, scaled by the
-    wall prefactor.  The result must equal the closed form piece by piece.
+    exp(<mu, z e>) over the off-wall linear factors z <w, e>, a pure pole of
+    order three, scaled by the wall prefactor.  The result must equal the
+    closed form piece by piece.
     """
     pieces = {"C0": MultiPoly(2)}
     current = MultiPoly(2)
     for label, wall_weight, e in _WALL_CROSSINGS:
         exponent = MultiPoly.linear(2, {VAR_R: Fraction(e[0]), VAR_S: Fraction(e[1])})
-        factors = [
-            (Fraction(0), Fraction(w[0] * e[0] + w[1] * e[1]))
-            for w in DISTINCT_WEIGHTS
-            if w != wall_weight
-        ]
-        jump = residue_of_exp_over_linear_factors(exponent, factors)
+        slopes = [w[0] * e[0] + w[1] * e[1] for w in DISTINCT_WEIGHTS if w != wall_weight]
+        jump = residue_of_exp_over_linear_factors(exponent, slopes)
         current = current + jump * WALL_PREFACTOR
         pieces[label] = current
     return PiecewiseChamberDensity(pieces)
@@ -312,50 +309,14 @@ def _signed_shifts(support: MarginalSupport) -> list[tuple[Fraction, Fraction, i
     ]
 
 
-def _adaptive_simpson(f, lo: float, hi: float):
-    """Classic adaptive Simpson to ``_SIMPSON_TOL`` within ``_SIMPSON_DEPTH``
-    bisections; returns (value, error_estimate)."""
-
-    def simpson(a, b, fa, fm, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, eps, d):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        err = left + right - whole
-        if d <= 0 or abs(err) <= 15.0 * eps:
-            return left + right + err / 15.0, abs(err) / 15.0
-        lv, le = recurse(a, m, fa, flm, fm, left, eps / 2.0, d - 1)
-        rv, re = recurse(m, b, fm, frm, fb, right, eps / 2.0, d - 1)
-        return lv + rv, le + re
-
-    if hi <= lo:
-        return 0.0, 0.0
-    fa, fb = f(lo), f(hi)
-    m = 0.5 * (lo + hi)
-    fm = f(m)
-    whole = simpson(lo, hi, fa, fm, fb)
-    return recurse(lo, hi, fa, fm, fb, whole, _SIMPSON_TOL, _SIMPSON_DEPTH)
-
-
-# Error budget of the quadrature oracle, summed over its Simpson intervals,
-# and the share and bisection depth of each interval.
-_QUADRATURE_TOL = 1e-9
-_SIMPSON_TOL = _QUADRATURE_TOL / 32.0
-_SIMPSON_DEPTH = 24
-
-
 def marginal_gap_density_numeric(centered: CenteredSpectrum, x: float) -> float:
     """Quadrature oracle for the marginal gap density at one point.
 
     Integrates x*y times the nine signed shifted copies of the planar density
-    over y >= 0.  The integrand is piecewise quadratic in y, so the intervals
-    are split at the shifted chamber walls before Simpson is applied; the
-    adaptive pass is then exact up to rounding.  Raises if the error estimate
-    exceeds ``_QUADRATURE_TOL``.
+    over y >= 0, in floats.  Each copy is cut at its shifted chamber walls, so
+    on every wall-to-wall piece the planar density is one quadratic in y and
+    the integrand a cubic.  Simpson's rule is exact for cubics, so one Simpson
+    step per piece gives the integral up to rounding.
     """
     support = marginal_support(centered)
     b3 = float(support.b3)
@@ -365,7 +326,6 @@ def marginal_gap_density_numeric(centered: CenteredSpectrum, x: float) -> float:
 
     density = convolution_density_closed()
     total = 0.0
-    err_total = 0.0
     for ax, ay, sign in _signed_shifts(support):
         a, b = float(ax), float(ay)
         r = xf - a
@@ -380,11 +340,8 @@ def marginal_gap_density_numeric(centered: CenteredSpectrum, x: float) -> float:
 
         cuts = sorted({0.0, y_hi} | {c for c in (b, b + r) if 0.0 < c < y_hi})
         for lo, hi in zip(cuts, cuts[1:]):
-            val, err = _adaptive_simpson(integrand, lo, hi)
-            total += sign * val
-            err_total += err
-    if err_total > _QUADRATURE_TOL:
-        raise ArithmeticError(f"quadrature achieved {err_total:.3e}, wanted {_QUADRATURE_TOL:.3e}")
+            simpson = integrand(lo) + 4.0 * integrand(0.5 * (lo + hi)) + integrand(hi)
+            total += sign * (hi - lo) / 6.0 * simpson
     return total
 
 

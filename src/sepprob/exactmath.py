@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: multivariate polynomials over the rationals,
-residues of exp(L z) over products of linear factors in z, and symbolic
-constants of the form q * pi**k * sqrt(m).
+residues of exp(L z) over pure poles in z, and symbolic constants of the form
+q * pi**k * sqrt(m).
 
 Rationals are plain ``fractions.Fraction`` (arbitrary precision; denominators
 like 15! appear downstream and must stay exact).  Polynomials map exponent
@@ -16,10 +16,8 @@ factors before it builds any Fraction.  Substitution has one kernel,
 every level and unpacks keys and builds Fractions once, on its result.  It
 can also work modulo a power of one free variable, so a caller that reads
 only the low coefficients never forms the others.
-A residue Res_{z=0} exp(L z) / prod_k (c_k + b_k z) with P zero constants is
-one coefficient: sum_{j<P} L**j / j! * s_{P-1-j} / prod_{c_k=0} b_k, where
-s_d are the scalar power-series coefficients of prod_{c_k!=0} 1/(c_k + b_k z),
-computed exactly up to d = P - 1 and no further.
+A residue Res_{z=0} exp(L z) / prod_k (b_k z) over a pure pole of order P is
+one Taylor coefficient of exp(L z): L**(P-1) / ((P-1)! prod_k b_k).
 Variables are positional indices; the modules that build concrete expressions
 keep their own symbol tables.
 """
@@ -29,8 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm, pi, prod, sqrt
 from typing import Mapping, Sequence
-
-Rational = Fraction
 
 Exponent = tuple[int, ...]
 IntTerms = dict[int, int]  # packed monomial key -> integer numerator over a denominator kept alongside
@@ -521,42 +517,20 @@ def iterated_integrate(
     return MultiPoly._trusted(p.arity, _fractions(num, den, p.arity, width))
 
 
-def residue_of_exp_over_linear_factors(
-    exponent: MultiPoly, factors: Sequence[tuple[Fraction | int, Fraction | int]]
-) -> MultiPoly:
-    """Res_{z=0} [ exp(L*z) / prod_k (c_k + b_k z) ] as an exact polynomial.
+def residue_of_exp_over_linear_factors(exponent: MultiPoly, slopes: Sequence[Fraction | int]) -> MultiPoly:
+    """Res_{z=0} [ exp(L*z) / prod_k (b_k z) ] as an exact polynomial.
 
-    ``exponent`` is L, a polynomial in the outer variables; each factor is a
-    pair (constant, z-coefficient).  With P factors of zero constant the
-    function is exp(L z) s(z) / (B z**P), where B is the product of their
-    z-coefficients and s(z) = prod_{c != 0} 1 / (c + b z) has scalar
-    coefficients, of which the residue reads s_0 .. s_{P-1}:
+    ``exponent`` is L, a polynomial in the outer variables, and ``slopes`` are
+    the b_k of P >= 1 linear factors with zero constant term.  The pole at
+    z = 0 is then pure, of order P, so the residue is the z**(P-1) Taylor
+    coefficient of exp(L z) over prod_k b_k:
 
-        sum_{j < P} L**j / j! * s_{P-1-j} / B.
-
-    With no pole (P = 0) the residue is zero.
+        L**(P-1) / ((P-1)! * prod_k b_k).
     """
-    pairs = [(Fraction(c), Fraction(b)) for c, b in factors]
-    poles = [b for c, b in pairs if c == 0]
-    pole_order = len(poles)
-    if pole_order == 0:
-        return MultiPoly(exponent.arity)
-    if 0 in poles:
+    scale = prod(Fraction(b) for b in slopes)
+    if scale == 0:
         raise ZeroDivisionError("factor is identically zero")
-    s = [Fraction(1)] + [Fraction(0)] * (pole_order - 1)
-    for c, b in pairs:
-        if c:  # s <- s / (c + b z): s_d = (s_d - b s_{d-1}) / c, d ascending
-            s[0] /= c
-            for d in range(1, pole_order):
-                s[d] = (s[d] - b * s[d - 1]) / c
-    scale = 1 / prod(poles)
-    residue = MultiPoly(exponent.arity)
-    power = MultiPoly.constant(exponent.arity, 1)
-    for j in range(pole_order):
-        if j:
-            power = power * exponent
-        residue = residue + power * (s[pole_order - 1 - j] * scale / factorial(j))
-    return residue
+    return exponent ** (len(slopes) - 1) / (scale * factorial(len(slopes) - 1))
 
 
 def _square_free_split(n: int) -> tuple[int, int]:

@@ -229,36 +229,29 @@ def region_volume(name: str, at_x) -> Fraction:
     return vol.evaluate([xv])
 
 
-_BOUND_SAMPLES = 4
-
-
 def region_bounds_ordered(name: str, at_x) -> bool:
-    """Spot-check lower <= upper for every bound pair at a fixed x.
+    """Exact check that lower <= upper for every bound pair at a fixed x.
 
-    Walks the bounds outermost first, sampling each variable at
-    ``_BOUND_SAMPLES`` evenly spaced rational points of its own range.
+    Every bound is affine.  So, at fixed x, the points that the outer levels
+    admit are the convex hull of the points reached by taking the lower or the
+    upper endpoint at each level, and upper - lower of the next level is affine
+    on that hull.  An affine function is nonnegative on a convex hull exactly
+    when it is nonnegative at the generating points, so walking the bounds
+    outermost first through the two endpoints of each range decides the
+    question.
     """
     if name == "R":
         return region_bounds_ordered("Delta3", at_x) and region_bounds_ordered("R2a", at_x)
-    xv = Fraction(at_x)
     bounds = list(reversed(_bounds(name)))
 
     def walk(level: int, point: list[Fraction]) -> bool:
         if level == len(bounds):
             return True
         var, lower, upper = bounds[level]
-        lo = lower.evaluate(point)
-        hi = upper.evaluate(point)
-        if lo > hi:
-            return False
-        for i in range(_BOUND_SAMPLES):
-            nxt = list(point)
-            nxt[var] = lo + (hi - lo) * _F(i, _BOUND_SAMPLES - 1)
-            if not walk(level + 1, nxt):
-                return False
-        return True
+        lo, hi = lower.evaluate(point), upper.evaluate(point)
+        return lo <= hi and all(walk(level + 1, point[:var] + [v] + point[var + 1:]) for v in (lo, hi))
 
-    return walk(0, [xv, _F(0), _F(0), _F(0)])
+    return walk(0, [Fraction(at_x), _F(0), _F(0), _F(0)])
 
 
 @lru_cache(maxsize=None)

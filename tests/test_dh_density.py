@@ -11,7 +11,8 @@ from reference import (
     project_to_plane,
     weights_from_roots,
 )
-from sepprob.checks import SPEC_45, random_simple_centered
+from sepprob import dh_density as dh
+from sepprob.checks import SPEC_45, check_marginal_oracle, random_simple_centered
 from sepprob.dh_density import (
     DISTINCT_WEIGHTS,
     MarginalSupport,
@@ -64,16 +65,6 @@ class TestClosedDensity:
         assert classify_chamber(-1, 0) == "C1"
         assert classify_chamber(-1, -1) == "C2"
 
-    def test_wall_continuity_exact(self):
-        d = convolution_density_closed()
-        r = MultiPoly.variable(2, 0)
-        zero = MultiPoly(2)
-        # p1(r, 0) = p2(r, 0); p2(r, r) = p3(r, r); p1(r, -r) = 0; p3(0, s) = 0.
-        assert d.piece("C1").substitute(1, zero) == d.piece("C2").substitute(1, zero)
-        assert d.piece("C2").substitute(1, r) == d.piece("C3").substitute(1, r)
-        assert d.piece("C1").substitute(1, -r).is_zero
-        assert d.piece("C3").substitute(0, zero).is_zero
-
     def test_nonnegative_on_chambers(self):
         d = convolution_density_closed()
         grid = 100
@@ -87,9 +78,6 @@ class TestClosedDensity:
 
 
 class TestJumpDerivation:
-    def test_structural_equality_with_closed(self):
-        assert convolution_density_jump() == convolution_density_closed()
-
     def test_piece_progression(self):
         jump = convolution_density_jump()
         r = MultiPoly.variable(2, 0)
@@ -171,12 +159,6 @@ class TestMarginalGapDensity:
     def test_exact_mass_worked_example(self):
         assert total_gap_mass(SPEC_45) == vandermonde_over_twelve(SPEC_45)
 
-    def test_exact_mass_random(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            c = random_simple_centered(rng)
-            assert total_gap_mass(c) == vandermonde_over_twelve(c)
-
     def test_continuity_at_breakpoints(self):
         d = marginal_gap_density(SPEC_45)
         for i in range(len(d.pieces) - 1):
@@ -252,3 +234,10 @@ class TestMarginalOracle:
     def test_outside_support(self):
         assert marginal_gap_density_numeric(SPEC_45, -0.1) == 0.0
         assert marginal_gap_density_numeric(SPEC_45, 0.9) == 0.0
+
+    def test_check_fails_on_an_oracle_four_percent_off(self, monkeypatch):
+        # Negative control of "marginal oracle" and criterion 6: the absolute
+        # 1e-6 alone passes this oracle on SPEC_45 / 2 (max error 8.0e-7).
+        monkeypatch.setattr(dh, "marginal_gap_density_numeric", lambda c, x: 1.04 * marginal_gap_density_numeric(c, x))
+        passed, detail = check_marginal_oracle()
+        assert not passed and "max err 8.0e-07" in detail, detail

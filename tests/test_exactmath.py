@@ -429,61 +429,41 @@ class TestLaurentResidue:
     def test_triple_pole_negative_exponent(self):
         # Res[e^{-(r+s) z} / z^3] = (r+s)^2 / 2.
         r, s = x_(2, 0), x_(2, 1)
-        res = residue_of_exp_over_linear_factors(-(r + s), [(0, 1), (0, 1), (0, 1)])
+        res = residue_of_exp_over_linear_factors(-(r + s), [1, 1, 1])
         assert res == (r + s) ** 2 / 2
 
     def test_simple_pole_constant(self):
-        res = residue_of_exp_over_linear_factors(MultiPoly(2), [(0, 1)])
+        res = residue_of_exp_over_linear_factors(MultiPoly(2), [1])
         assert res == MultiPoly.constant(2, 1)
 
     def test_triple_pole_positive_exponent(self):
         r, s = x_(2, 0), x_(2, 1)
-        res = residue_of_exp_over_linear_factors(r - s, [(0, 1), (0, 1), (0, 1)])
+        res = residue_of_exp_over_linear_factors(r - s, [1, 1, 1])
         assert res == (r - s) ** 2 / 2
-
-    def test_no_pole_gives_zero(self):
-        r = x_(2, 0)
-        res = residue_of_exp_over_linear_factors(r, [(1, 1), (2, -1)])
-        assert res.is_zero
-
-    def test_mixed_factors(self):
-        # Res[e^{rz} / (z^2 (1 + z))] = r - 1 (expand 1/(1+z) = 1 - z + ...).
-        r = x_(2, 0)
-        res = residue_of_exp_over_linear_factors(r, [(0, 1), (0, 1), (1, 1)])
-        assert res == r - 1
 
     def test_identically_zero_factor_raises(self):
         with pytest.raises(ZeroDivisionError, match="identically zero"):
-            residue_of_exp_over_linear_factors(x_(2, 0), [(0, 1), (0, 0), (2, 1)])
+            residue_of_exp_over_linear_factors(x_(2, 0), [1, 0, 1])
 
     def test_matches_contour_trapezoid(self):
-        # Res = (1 / 2 pi i) times the contour integral over |z| = rho.  The
+        # Res = (1 / 2 pi i) times the contour integral over |z| = 1.  The
         # trapezoid rule on N nodes aliases in only the Laurent coefficients
-        # of degree N - 1 and up, which rho <= half the nearest off-pole root
-        # makes negligible.  Random L, poles and off-pole factors.
+        # of degree N - 1 and up, which |L| <= 9 makes negligible.  Random L
+        # and slopes.
         rng = random.Random(11)
         nodes = [cmath.exp(2j * cmath.pi * k / 128) for k in range(128)]
         for _ in range(200):
             coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
             exponent = MultiPoly.linear(2, coeffs[:2], coeffs[2])
-            pole_order = rng.randint(1, 4)
-            poles = [F(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3)) for _ in range(pole_order)]
-            factors = [(F(0), b) for b in poles]
-            factors += [
-                (F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)), F(rng.randint(-4, 4), rng.randint(1, 3)))
-                for _ in range(rng.randint(0, 3))
-            ]
-            rng.shuffle(factors)
+            slopes = [F(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
             point = [rng.randint(-9, 9) / 9 for _ in range(2)]
-            want = residue_of_exp_over_linear_factors(exponent, factors).evaluate_float(point)
-            rho = min([1.0] + [0.5 * abs(float(c / b)) for c, b in factors if c and b])
+            want = residue_of_exp_over_linear_factors(exponent, slopes).evaluate_float(point)
             lval = exponent.evaluate_float(point)
             total = 0j
-            for u in nodes:
-                z = rho * u
+            for z in nodes:
                 den = 1
-                for c, b in factors:
-                    den *= float(c) + float(b) * z
+                for b in slopes:
+                    den *= float(b) * z
                 total += cmath.exp(lval * z) * z / den
             assert abs(total / len(nodes) - want) <= 1e-9 * max(1.0, abs(want))
 
