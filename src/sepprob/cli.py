@@ -21,14 +21,14 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from . import sep_integral as si
 from . import volumes as vol
 from .exactmath import decimal_str, rational_from_str, rational_str
 from .volumes import Spectrum
 
 # numpy, and the modules built on it (checks, sampling), are imported by the
 # verbs that use them, so `integrate`, `volumes`, `density` without
-# `--check-oracle` and `marginal` without `--samples` run without it.
+# `--check-oracle` and `marginal` without `--samples` run without it;
+# sep_integral is imported by `integrate`, its only user.
 
 
 def _versions() -> dict:
@@ -212,6 +212,8 @@ def _marginal_histogram(args, centered):
 
 
 def cmd_integrate(args):
+    from . import sep_integral as si
+
     kind = args.emit
     if kind == "prob":
         p = si.separability_probability()

@@ -115,10 +115,7 @@ def _contribution_factors(k: int, branch: str | None) -> tuple[list[MultiPoly], 
 
 @lru_cache(maxsize=None)
 def vandermonde_gap_poly() -> MultiPoly:
-    """Spectrum Vandermonde in gap coordinates (cached; MultiPoly is immutable).
-
-    t1*t2*t3*(2t1+t2)*(3t2+2t3)*(6t1+3t2+2t3) / 432, expanded.
-    """
+    """:func:`_vandermonde_factors` expanded (cached; MultiPoly is immutable)."""
     return product(*_vandermonde_factors())
 
 
@@ -195,11 +192,20 @@ def _bounds(name: str) -> tuple[tuple[int, MultiPoly, MultiPoly], ...]:
 
 REGION_NAMES = ("R", "Delta3", "R1a", "R1b", "R2a", "R2b", "R2ab", "R3a", "R3b")
 
-# Signed decompositions behind each partial integral: (region, sign, branch).
+# Signed decompositions behind each partial integral: (region, weight, branch).
 REGION_DECOMPOSITION: dict[int, list[tuple[str, int, str | None]]] = {
     1: [("R1a", +1, "pos"), ("R1b", +1, "neg")],
     2: [("Delta3", +1, None), ("R2ab", +1, None), ("R2a", -1, None), ("R2b", -1, None)],
     3: [("Delta3", +1, None), ("R3a", -1, None), ("R3b", -1, None)],
+}
+
+# The same sum modulo x^3.  R2ab, R2b and R3b are thin (t3 and one inner
+# width are O(x)), so with the factor x of every contribution they are
+# O(x^3) and drop out; R1b on "neg" equals R1a on "pos", so R1a counts twice.
+LOW_ORDER_DECOMPOSITION: dict[int, list[tuple[str, int, str | None]]] = {
+    1: [("R1a", 2, "pos")],
+    2: [("Delta3", +1, None), ("R2a", -1, None)],
+    3: [("Delta3", +1, None), ("R3a", -1, None)],
 }
 
 # Measure factor: the x2 spectrum-ordering unfolding over the Jacobian 4!.
@@ -225,8 +231,7 @@ def region_volume(name: str, at_x) -> Fraction:
     xv = Fraction(at_x)
     if name == "R":
         return region_volume("Delta3", xv) - region_volume("R2a", xv)
-    vol = region_integral(name, _affine(1))
-    return vol.evaluate([xv])
+    return region_integral(name, _affine(1)).evaluate([xv])
 
 
 def region_bounds_ordered(name: str, at_x) -> bool:
@@ -269,30 +274,29 @@ def gap_piece_partials(k: int) -> dict[str, MultiPoly]:
 def gap_piece(k: int) -> MultiPoly:
     """The k-th partial integral as an exact univariate polynomial in x: the
     sum of the signed subregion contributions of ``gap_piece_partials``."""
-    total = MultiPoly(1)
-    for p in gap_piece_partials(k).values():
-        total = total + p
-    return total
+    return sum(gap_piece_partials(k).values(), MultiPoly(1))
 
 
-def _region_sum(truncate: tuple[int, int] | None = None) -> MultiPoly:
-    """The sum of the three partial integrals with one iterated integral per
-    distinct set of region bounds, taken on the signed sum of the integrands
-    that share it: Delta3 carries k = 2 and k = 3, and R2a has the bounds of
-    R3a, so the nine regions of ``REGION_DECOMPOSITION`` need seven
-    integrals.  ``truncate`` passes through to :func:`region_integral`."""
-    integrands: dict[tuple[int, str | None], MultiPoly] = {}
-    shared: dict[tuple, list[tuple[str, int, MultiPoly]]] = {}
-    for k, parts in REGION_DECOMPOSITION.items():
-        for name, sign, branch in parts:
-            if (k, branch) not in integrands:
-                integrands[k, branch] = _full_integrand(k, branch)
-            shared.setdefault(_bounds(name), []).append((name, sign, integrands[k, branch]))
+def _region_sum(table: dict, truncate: tuple[int, int] | None = None) -> MultiPoly:
+    """The weighted sum of the region integrals in ``table``, by one iterated
+    integral per distinct pair of bounds and weight on the sum of the
+    integrands that share it; each integrand and each such sum is built once.
+    Delta3 carries k = 2 and 3 and R2a has the bounds of R3a, so the nine
+    regions of ``REGION_DECOMPOSITION`` take seven integrals, and the four of
+    ``LOW_ORDER_DECOMPOSITION`` (see its comment) take three.  ``truncate``
+    passes through to :func:`region_integral`."""
+    keys = {(k, branch) for k, parts in table.items() for _, _, branch in parts}
+    integrands: dict[tuple, MultiPoly] = {key: _full_integrand(*key) for key in keys}
+    shared: dict[tuple, list[tuple[str, tuple]]] = {}
+    for k, parts in table.items():
+        for name, weight, branch in parts:
+            shared.setdefault((_bounds(name), weight), []).append((name, (k, branch)))
     total = MultiPoly(1)
-    for (name, sign, integrand), *rest in shared.values():
-        for _, other, p in rest:
-            integrand = integrand + (p if other == sign else -p)
-        total = total + region_integral(name, integrand, truncate) * sign
+    for (_, weight), group in shared.items():
+        mix = tuple(key for _, key in group)
+        if mix not in integrands:
+            integrands[mix] = sum((integrands[key] for key in mix[1:]), integrands[mix[0]])
+        total = total + region_integral(group[0][0], integrands[mix], truncate) * weight
     return total * _MEASURE_FACTOR
 
 
@@ -300,7 +304,7 @@ def _region_sum(truncate: tuple[int, int] | None = None) -> MultiPoly:
 def gap_piece_sum() -> MultiPoly:
     """gap_piece(1) + gap_piece(2) + gap_piece(3) as one full polynomial in x,
     by seven region integrals instead of nine (see :func:`_region_sum`)."""
-    return _region_sum()
+    return _region_sum(REGION_DECOMPOSITION)
 
 
 @dataclass(frozen=True)
@@ -356,11 +360,8 @@ def separable_slice_poly() -> RadialVolumePoly:
 
 
 def separable_slice_volume(a) -> SymbolicReal:
-    """Half-bounded slice volume f(a) at Bloch radius ``a`` in [0, 1/3].
-
-    The volume of the states with lambda_max <= 1/2 on the slice; it equals
-    the separable slice volume only at a = 0.
-    """
+    """Half-bounded slice volume f(a) (see :class:`RadialVolumePoly`) at
+    Bloch radius ``a`` in [0, 1/3]."""
     a = Fraction(a)
     if not 0 <= a <= _F(1, 3):
         raise ValueError("the closed form is only established on [0, 1/3]")
@@ -412,14 +413,12 @@ def separability_probability() -> Fraction:
     volume at radius 0.
 
     f(0) is 128 pi^5 times the x^2 coefficient of the summed partial
-    integrals, so this route computes that sum modulo x^3: the same
-    seven region integrals as :func:`gap_piece_sum`, with x^0 to x^2 carried
-    through them and the higher powers never formed.  The x^0 and x^1
-    coefficients must vanish, or ArithmeticError is raised.  The verbs that
-    print polynomials, ``integrate --emit f`` and ``--emit M1..M3``, keep
-    the full ones.
+    integrals, so this route takes that sum modulo x^3 by the three integrals
+    of ``LOW_ORDER_DECOMPOSITION`` (seven in :func:`gap_piece_sum`): the thin
+    regions R2ab, R2b and R3b are O(x^3), and R1b equals R1a.  The x^0 and x^1
+    coefficients must vanish, or ArithmeticError is raised.
     """
-    low = _radial_reduced(_region_sum(truncate=(X, 2)))
+    low = _radial_reduced(_region_sum(LOW_ORDER_DECOMPOSITION, truncate=(X, 2)))
     sep = SymbolicReal(low.coefficient((0,)) * _SLICE_SCALE, pi_power=5)
     return (sep / ZERO_CONDITIONED_VOLUME).coeff
 
