@@ -7,6 +7,11 @@ the verb, writes to stdout (a report as JSON, a table one line at a time) and
 sets the exit code: 0 for success / all checks passing, 1 for a report with
 ``"pass": false``, 2 for usage errors, 141 when the reader closes the pipe.
 ``verify all``'s checks come from ``checks.run_all``, which names them.
+
+``VERBS`` maps each verb to its help line and the function that adds its
+arguments.  ``main`` builds only the parser of the verb it is given;
+``build_parser``, the whole tree, parses anything else, such as no verb,
+an unknown one or top-level ``--help``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import argparse
 import json
 import math
 import os
-import platform
 import sys
 import time
 from fractions import Fraction
@@ -35,7 +39,7 @@ def _versions() -> dict:
     """Package versions; numpy's is the one this run loaded, None when the
     verb ran without importing numpy."""
     np = sys.modules.get("numpy")
-    return {"sepprob": __version__, "python": platform.python_version(), "numpy": np.__version__ if np else None}
+    return {"sepprob": __version__, "python": sys.version.split()[0], "numpy": np.__version__ if np else None}
 
 
 def _report(seconds: float, command: str, results, seed=None, checks_list=None) -> dict:
@@ -253,19 +257,12 @@ def cmd_verify(args):
     return "verify all", {"deep": args.deep}, args.seed, results
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sepprob",
-        description="Exact volumes, piecewise densities, and Monte Carlo checks "
-        "for two-qubit separability under the flat metric.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("volumes", help="closed-form volume constants for size N")
+def _volumes_args(p):
     p.add_argument("--n", type=_positive(int), required=True)
     p.set_defaults(func=cmd_volumes)
 
-    p = sub.add_parser("density", help="planar chamber density and its oracles")
+
+def _density_args(p):
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--check-oracle", action="store_true")
     mode.add_argument("--grid", type=_positive(int), default=0, help="emit a CSV grid of this size")
@@ -274,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive(float), default=1e-9)
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("marginal", help="marginal-gap density for a fixed spectrum")
+
+def _marginal_args(p):
     p.add_argument("--spectrum", required=True, help="four rationals or decimals, e.g. 0.45,0.27,0.18,0.10")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--grid", type=_positive(int), default=0, help="emit a CSV grid of this size")
@@ -285,41 +283,76 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="emit the --samples histogram as CSV")
     p.set_defaults(func=cmd_marginal)
 
-    p = sub.add_parser("integrate", help="exact pipeline outputs")
+
+def _integrate_args(p):
     p.add_argument("--emit", choices=["M1", "M2", "M3", "f", "prob"], required=True)
     p.set_defaults(func=cmd_integrate)
 
-    p = sub.add_parser("sample", help="Monte Carlo estimators")
-    sample_sub = p.add_subparsers(dest="what", required=True)
 
-    q = sample_sub.add_parser("sep", help="global separability fraction")
-    q.add_argument("--n", type=_positive(int), required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--threads", type=_positive(int), default=1)
-    q.add_argument("--tol", type=_positive(float), help="PPT tolerance (default: sampling.PPT_TOL)")
-    q.set_defaults(func=cmd_sample)
+def _sample_args(p):
+    sub = p.add_subparsers(dest="what", required=True)
+    sep = sub.add_parser("sep", help="global separability fraction")
+    conditioned = sub.add_parser("conditioned", help="fixed-marginal slice fraction")
+    conditioned.add_argument("--a", type=_unit_interval, required=True)
+    for q in (sep, conditioned):
+        q.add_argument("--n", type=_positive(int), required=True)
+        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--threads", type=_positive(int), default=1)
+        q.add_argument("--tol", type=_positive(float), help="PPT tolerance (default: sampling.PPT_TOL)")
+        q.set_defaults(func=cmd_sample)
 
-    q = sample_sub.add_parser("conditioned", help="fixed-marginal slice fraction")
-    q.add_argument("--a", type=_unit_interval, required=True)
-    q.add_argument("--n", type=_positive(int), required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--threads", type=_positive(int), default=1)
-    q.add_argument("--tol", type=_positive(float), help="PPT tolerance (default: sampling.PPT_TOL)")
-    q.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("verify", help="run the self-check suite")
+def _verify_args(p):
     p.add_argument("scope", choices=["all"])
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--deep", action="store_true", help="acceptance-scale stochastic checks")
     p.set_defaults(func=cmd_verify)
 
+
+# Verb -> (its help line, the function that adds its arguments and
+# `func`): the one table that `build_parser` and `parse_args` read.
+VERBS = {
+    "volumes": ("closed-form volume constants for size N", _volumes_args),
+    "density": ("planar chamber density and its oracles", _density_args),
+    "marginal": ("marginal-gap density for a fixed spectrum", _marginal_args),
+    "integrate": ("exact pipeline outputs", _integrate_args),
+    "sample": ("Monte Carlo estimators", _sample_args),
+    "verify": ("run the self-check suite", _verify_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole CLI: every verb of ``VERBS`` as a subparser."""
+    parser = argparse.ArgumentParser(
+        prog="sepprob",
+        description="Exact volumes, piecewise densities, and Monte Carlo checks "
+        "for two-qubit separability under the flat metric.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, add_arguments) in VERBS.items():
+        add_arguments(sub.add_parser(verb, help=help_text))
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments of ``argv``, as ``build_parser().parse_args(argv)`` gives
+    them less its ``verb``.  When ``argv`` starts with a verb, only that verb's
+    parser is built; anything else (no verb, an unknown one, top-level
+    ``--help``, arguments the verb does not know) goes through the whole
+    parser, so that its usage and errors read the same."""
+    if argv and argv[0] in VERBS:
+        _, add_arguments = VERBS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"sepprob {argv[0]}")
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()

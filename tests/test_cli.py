@@ -5,13 +5,14 @@ entry are listed, with that entry, in ROADMAP item 8."""
 
 import json
 import math
+import platform
 import subprocess
 import sys
 
 import pytest
 
 from sepprob import checks
-from sepprob.cli import main
+from sepprob.cli import _versions, main
 
 
 def run(capsys, *argv):
@@ -23,35 +24,6 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
-
-
-class TestIntegrateVerb:
-    def test_prob(self, capsys):
-        code, rep, _ = run_json(capsys, "integrate", "--emit", "prob")
-        assert code == 0
-        assert rep["results"]["prob"] == "8/33"
-        assert rep["results"]["decimal"].startswith("0.24242424242424")
-
-    def test_f(self, capsys):
-        code, rep, _ = run_json(capsys, "integrate", "--emit", "f")
-        assert code == 0
-        assert rep["results"]["prefactor"] == {
-            "coeff": "1/319334400",
-            "pi_pow": 5,
-            "sqrt": 1,
-            "decimal": rep["results"]["prefactor"]["decimal"],
-        }
-        consts = {tuple(t["exps"]): t["coeff"] for t in rep["results"]["poly"]}
-        assert consts[(0,)] == "8/1"
-        assert consts[(12,)] == "-33/1"
-
-    def test_m1_coefficients_exact(self, capsys):
-        code, rep, _ = run_json(capsys, "integrate", "--emit", "M1")
-        assert code == 0
-        coeffs = {tuple(t["exps"]): t["coeff"] for t in rep["results"]["poly"]}
-        # 1345/387370509926400 in lowest terms.
-        assert coeffs[(1,)] == "269/77474101985280"
-        assert rep["results"]["decimal_coeffs"]["1"].startswith("3.47")
 
 
 # Runs the exact verbs in a fresh interpreter and reports which numpy
@@ -79,6 +51,10 @@ def test_exact_verbs_run_without_numpy(child_env):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got == {"numpy_imported": False, "versions": [None] * 4}
+
+
+def test_versions_reads_the_python_version_without_platform():
+    assert _versions()["python"] == platform.python_version()
 
 
 class TestVolumesVerb:
