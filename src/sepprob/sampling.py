@@ -5,13 +5,14 @@ fixed-spectrum orbits, exact iid draws on fixed-marginal slices by local
 filtering, the positive-partial-transpose test and the marginal-gap statistic.
 A hit-and-run walk stays only because perfbench/replay.py conditioned() reads it.
 
-Everything stochastic is driven by counter-based Philox streams keyed by
-(seed, stream index), so results are bit-reproducible for a given seed and
-independent of how work is split across threads.  Batch entry points carve
-the sample range into fixed blocks, one stream per block.  Inside a block
-the samplers stream cache-sized chunks: the flat-measure estimator and the
-slice sampler read ``_ginibre_chunks`` (the block's real plane whole, then
-its imaginary plane chunk by chunk), the orbit sampler ``_orbit_chunks``.
+Everything stochastic is driven by SFC64 streams keyed by (seed, stream
+index) through numpy's SeedSequence, so results are bit-reproducible for a
+given seed and independent of how work is split across threads.  Batch
+entry points carve the sample range into fixed blocks, one stream per
+block.  Inside a block the samplers stream cache-sized chunks: the
+flat-measure estimator and the slice sampler read ``_ginibre_chunks`` (the
+block's real plane whole, then its imaginary plane chunk by chunk), the
+orbit sampler ``_orbit_chunks``.
 """
 
 from __future__ import annotations
@@ -46,9 +47,12 @@ _PAULIS = (_SX, _SY, _SZ)
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for one (seed, stream) pair; streams never collide."""
-    key = ((seed & _MASK64) << 64) | (stream & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 generator for one (seed, stream) pair, the seed taken modulo
+    2^64.  SeedSequence hashes the pair into SFC64's 256-bit state, so two
+    pairs share a state, or draw overlapping runs, only with negligible
+    probability."""
+    ss = np.random.SeedSequence(seed & _MASK64, spawn_key=(stream,))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,35 @@
 """Every golden entry, run in-process and compared by `golden/check.py`, the runner CI
-calls.  Regenerate an entry only for a deliberate change of output, and name the entry
-and the reason in CHANGES.md.  Every verb has an entry, and a key of a report's
-`results` that no entry pins must be listed in COVERED_ELSEWHERE with its test."""
+calls.  Regenerate an entry (`golden/check.py --write`) only for a deliberate change of
+output, and name the entry and the reason in CHANGES.md.  Every verb has an entry, and a
+key of a report's `results` that no entry pins must be listed in COVERED_ELSEWHERE with
+its test."""
 
 import argparse
 import json
 from pathlib import Path
 
 import pytest
-from golden.check import load, mismatch
+from golden.check import numpy_of, load, mismatch
 
 from sepprob.cli import build_parser
 
-ENTRIES = {f.name: load(f) for f in (Path(__file__).parent / "golden").glob("*.json")}
+DOCS = {f.name: load(f) for f in (Path(__file__).parent / "golden").glob("*.json")}
+ENTRIES = {name: doc["entries"] for name, doc in DOCS.items()}
 
 
-def assert_golden(entries, cli_run):
-    assert [msg for e in entries if (msg := mismatch(e, *cli_run(e["argv"])))] == []
+def assert_golden(name, entries, cli_run):
+    numpy = numpy_of(DOCS[name])
+    assert [msg for e in entries if (msg := mismatch(e, *cli_run(e["argv"]), numpy))] == []
 
 
 def golden_test(name: str, skip: int | None = None):
     """A test of ``golden/<name>``: one case for the whole file, or with ``skip`` one case per
     entry, named by its argv less the first ``skip`` words."""
     if skip is None:
-        return lambda cli_run: assert_golden(ENTRIES[name], cli_run)
+        return lambda cli_run: assert_golden(name, ENTRIES[name], cli_run)
     @pytest.mark.parametrize("entry", ENTRIES[name], ids=lambda e: "-".join(a.lstrip("-") for a in e["argv"][skip:]))
     def test(entry, cli_run):
-        assert_golden([entry], cli_run)
+        assert_golden(name, [entry], cli_run)
 
     return test
 

@@ -12,6 +12,7 @@ deterministic; the thresholds were set with slack against reasonable seed
 changes.
 """
 
+import json
 import tracemalloc
 from fractions import Fraction as F
 
@@ -266,6 +267,19 @@ def test_one_block_allocates_less_than_a_whole_block_array(run):
     finally:
         tracemalloc.stop()
     assert peak < sp._BLOCK * 16 * np.dtype(complex).itemsize
+
+
+class TestStreamKeys:
+    def test_seed_is_taken_modulo_2_64(self, cli_run):
+        # The CLI passes --seed on as given; stream_rng reduces it.
+        low, high = (json.loads(cli_run(["sample", "sep", "--n", "2000", "--seed", seed])[1])["results"]
+                     for seed in ("-1", str((1 << 64) - 1)))
+        assert low == high
+
+    @pytest.mark.parametrize("block", [0, 1, 7])
+    def test_slice_streams_differ_from_block_streams(self, block):
+        first = [sp.stream_rng(5, stream).standard_normal() for stream in (block, sp._SLICE_STREAMS + block)]
+        assert first[0] != first[1]
 
 
 class TestSepEstimator:
