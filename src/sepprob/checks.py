@@ -177,10 +177,13 @@ def random_simple_centered(rng: random.Random) -> CenteredSpectrum:
 
 
 def check_marginal_mass(seed: int) -> Check:
+    """The exact integral of the gap density over its support equals the
+    spectrum Vandermonde divided by 12, which ties the density normalization
+    to the symplectic orbit volume."""
     rng = random.Random(seed)
     for _ in range(_MASS_TRIALS):
         c = random_simple_centered(rng)
-        if dh.total_gap_mass(c) != dh.vandermonde_over_twelve(c):
+        if dh.marginal_gap_density(c).integral() != vol.vandermonde(c.entries) / 12:
             return False, f"mass identity fails for {c.entries}"
     return True, f"{_MASS_TRIALS} random simple spectra, exact"
 
@@ -221,13 +224,13 @@ def check_scaling_covariance(seed: int) -> Check:
 
 
 def check_regions() -> Check:
+    """Every region's bounds are ordered at three spot values of x, which
+    also makes every region's volume (the integral of 1) nonnegative."""
     for x in (Fraction(1, 100), Fraction(1, 6), Fraction(33, 100)):
         for name in si.REGION_NAMES:
-            if si.region_volume(name, x) < 0:
-                return False, f"{name} has negative volume at x={x}"
             if not si.region_bounds_ordered(name, x):
                 return False, f"{name} bounds disordered at x={x}"
-    return True, "volumes nonnegative, bounds ordered at 3 spot values"
+    return True, f"{len(si.REGION_NAMES)} regions, bounds ordered at 3 spot values"
 
 
 def check_exact_pipeline() -> Check:

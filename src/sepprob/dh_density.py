@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .exactmath import MultiPoly, residue_of_exp_over_linear_factors
-from .volumes import CenteredSpectrum, vandermonde
+from .volumes import CenteredSpectrum
 
 # Planar variables: index 0 is r, index 1 is s.
 VAR_R, VAR_S = 0, 1
@@ -66,9 +66,6 @@ class PiecewiseChamberDensity:
 
     def evaluate_float(self, r: float, s: float) -> float:
         return self.pieces[classify_chamber(r, s)].evaluate_float([r, s])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PiecewiseChamberDensity) and self.pieces == other.pieces
 
 
 def convolution_density_closed() -> PiecewiseChamberDensity:
@@ -343,16 +340,3 @@ def marginal_gap_density_numeric(centered: CenteredSpectrum, x: float) -> float:
             simpson = integrand(lo) + 4.0 * integrand(0.5 * (lo + hi)) + integrand(hi)
             total += sign * (hi - lo) / 6.0 * simpson
     return total
-
-
-def total_gap_mass(centered: CenteredSpectrum) -> Fraction:
-    """Exact integral of the gap density over its support.
-
-    Equals the spectrum Vandermonde divided by 12, which ties the density
-    normalization to the symplectic orbit volume.
-    """
-    return marginal_gap_density(centered).integral()
-
-
-def vandermonde_over_twelve(centered: CenteredSpectrum) -> Fraction:
-    return vandermonde(centered.entries) / 12

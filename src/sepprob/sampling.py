@@ -64,9 +64,7 @@ class SamplerConfig:
     the smallest partial-transpose eigenvalue lambda_min: a state counts as
     PPT when lambda_min >= -tolerance, and as indeterminate when
     |lambda_min| < tolerance.  The decision itself reads the sign of
-    det(rho^Gamma) and only calls eigvalsh on states whose |det| is below
-    max(tolerance, 1e-12), a band that contains every |lambda_min| < tolerance
-    state (see ``estimate_sep_prob``).
+    det(rho^Gamma) (``_sign_decide``).
     """
 
     seed: int
@@ -230,28 +228,40 @@ def _det4(p: Sequence[np.ndarray]) -> np.ndarray:
     return det.real
 
 
+def _sign_decide(det: np.ndarray, floor: float, exact) -> tuple[np.ndarray, np.ndarray]:
+    """(det > 0, all False) as two masks, except where |det| < ``floor``:
+    there ``exact(near)`` gives both from the eigenvalues.
+
+    The one theorem behind both sampling verdicts: ``det`` is the product of
+    four eigenvalues of which at most one, the margin, can be negative, and
+    the other three multiply to at most 1/8.  The margin is lambda_min for
+    rho^Gamma of a trace-one two-qubit rho (Augusiak, Demianowicz &
+    Horodecki, PRA 77, 030301(R), 2008), and 1/2 - lambda_max for I/2 - rho.
+    So det has the margin's sign and |det| <= |margin| / 8: a ``floor`` at
+    least the caller's tolerance and band half-width sends every sample that
+    either could touch to ``exact``.
+    """
+    near = np.abs(det) < floor
+    passed = det > 0
+    band = np.zeros(len(det), dtype=bool)
+    if near.any():
+        passed[near], band[near] = exact(near)
+    return passed, band
+
+
 def _ppt_decide_flat(wt: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """PPT and indeterminate-band masks for a batch of positive 4x4 blocks of
     any trace, given in (16, n) layout (entry (r, s) in row 4r + s):
     (m >= -tol, |m| < tol) with m the smallest partial-transpose eigenvalue
-    of the normalised block.
-
-    rho^Gamma has at most one negative eigenvalue, so the sign of
-    det(rho^Gamma) decides PPT.  For trace-one rho, |det rho^Gamma| <=
-    |lambda_min| / 8, so every state with |lambda_min| < tol has |det| < tol
-    and goes to eigvalsh, which rebuilds only those blocks; the rest are
-    decided by the det alone.
+    of the normalised block, decided by ``_sign_decide`` on det(rho^Gamma).
     """
     tr = (wt[0] + wt[5] + wt[10] + wt[15]).real
-    det = _det4([wt[k] for k in _PT_FLAT]) / tr**4
-    near = np.abs(det) < max(tol, _DET_FLOOR)
-    ppt = det > 0
-    band = np.zeros(len(det), dtype=bool)
-    if near.any():
+
+    def exact(near):
         mins = ppt_min_eigs(wt[:, near].T.reshape(-1, 4, 4) / tr[near, None, None])
-        ppt[near] = mins >= -tol
-        band[near] = np.abs(mins) < tol
-    return ppt, band
+        return mins >= -tol, np.abs(mins) < tol
+
+    return _sign_decide(_det4([wt[k] for k in _PT_FLAT]) / tr**4, max(tol, _DET_FLOOR), exact)
 
 
 def _ppt_decide(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -313,14 +323,9 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
     (one row per matrix entry), so that the unnormalised G G^dag and the
     determinant below are a few dozen array passes that stay in cache, with
     no batched matmul and no whole-block complex array.  The
-    decision reads the sign of det(rho^Gamma): for two qubits rho^Gamma has
-    at most one negative eigenvalue, so rho is PPT exactly when
-    det(rho^Gamma) >= 0 (Augusiak, Demianowicz & Horodecki, PRA 77,
-    030301(R), 2008).  For trace-one rho the other three eigenvalues multiply
-    to at most 1/8, so |det rho^Gamma| <= |lambda_min|/8; states with
-    |det rho^Gamma| < max(tolerance, 1e-12), which include every state in the
-    band, fall back to eigvalsh.  The counts are those of ``ppt_min_eigs`` on
-    the normalised states.
+    decision reads the sign of det(rho^Gamma) (``_sign_decide``), and
+    eigvalsh only where |det| < max(tolerance, 1e-12); the counts are those
+    of ``ppt_min_eigs`` on the normalised states.
     """
     if config.count < 1000:
         raise ValueError("estimate_sep_prob needs at least 1000 samples")
@@ -540,25 +545,16 @@ def _slice_filter(a: float, gt: np.ndarray) -> np.ndarray:
 def _half_bounded(wt: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_max <= 1/2 + tol, |lambda_max - 1/2| < ``_HALF_BAND``) for a
     chunk of trace-one states in (16, m) layout, lambda_max the largest
-    eigenvalue of each.
-
-    The eigenvalues of a trace-one rho >= 0 sum to one, so at most one
-    exceeds 1/2, and lambda_max <= 1/2 exactly when det(I/2 - rho) =
-    prod (1/2 - lambda_i) >= 0.  The other three factors lie in [0, 1/2],
-    so |det(I/2 - rho)| <= |lambda_max - 1/2| / 8: every state with
-    |det| >= max(tol, 1e-7) has |lambda_max - 1/2| > max(tol, 1e-9), and its
-    det sign alone decides both masks.  Only the rest go to eigvalsh.  The
+    eigenvalue of each, decided by ``_sign_decide`` on det(I/2 - rho).  The
     det is taken of rho - I/2, which for 4x4 blocks equals det(I/2 - rho),
     so only the four diagonal rows are copied."""
-    det = _det4([wt[k] - 0.5 if k % 5 == 0 else wt[k] for k in range(16)])
-    near = np.abs(det) < max(tol, _HALF_DET_FLOOR)
-    bounded = det > 0
-    in_band = np.zeros(len(det), dtype=bool)
-    if near.any():
+
+    def exact(near):
         lam_max = np.linalg.eigvalsh(wt[:, near].T.reshape(-1, 4, 4))[:, -1]
-        bounded[near] = lam_max <= 0.5 + tol
-        in_band[near] = np.abs(lam_max - 0.5) < _HALF_BAND
-    return bounded, in_band
+        return lam_max <= 0.5 + tol, np.abs(lam_max - 0.5) < _HALF_BAND
+
+    det = _det4([wt[k] - 0.5 if k % 5 == 0 else wt[k] for k in range(16)])
+    return _sign_decide(det, max(tol, _HALF_DET_FLOOR), exact)
 
 
 def conditioned_ppt_stats(a: float, config: SamplerConfig, threads: int = 1) -> ConditionedStats:
@@ -572,12 +568,10 @@ def conditioned_ppt_stats(a: float, config: SamplerConfig, threads: int = 1) -> 
     Each block reads its stream through ``_ginibre_chunks``, as
     ``estimate_sep_prob`` does (the real plane whole, then the imaginary
     plane chunk by chunk), and each chunk goes through ``_slice_filter``,
-    ``_gram_flat`` and the det-sign PPT decision; the counts are summed
-    chunk by chunk.  lambda_max <= 1/2 is read from the sign of
-    det(I/2 - rho) (``_half_bounded``): at most one eigenvalue of a
-    trace-one state exceeds 1/2, so no state needs a full eigensolve except
-    the few with |det(I/2 - rho)| < max(tolerance, 1e-7).  The blocks run
-    on ``threads`` threads and the counts are the same at any thread count."""
+    ``_gram_flat`` and both verdicts, the PPT test and lambda_max <= 1/2,
+    each read from the sign of a determinant (``_sign_decide``); the counts
+    are summed chunk by chunk.  The blocks run on ``threads`` threads and the
+    counts are the same at any thread count."""
     if not 0.0 <= a < 1.0:
         raise ValueError("Bloch radius must lie in [0, 1)")
     tol = config.tolerance

@@ -190,7 +190,7 @@ def _bounds(name: str) -> tuple[tuple[int, MultiPoly, MultiPoly], ...]:
     raise ValueError(f"unknown region {name!r}")
 
 
-REGION_NAMES = ("R", "Delta3", "R1a", "R1b", "R2a", "R2b", "R2ab", "R3a", "R3b")
+REGION_NAMES = ("Delta3", "R1a", "R1b", "R2a", "R2b", "R2ab", "R3a", "R3b")
 
 # Signed decompositions behind each partial integral: (region, weight, branch).
 REGION_DECOMPOSITION: dict[int, list[tuple[str, int, str | None]]] = {
@@ -222,18 +222,6 @@ def region_integral(name: str, integrand: MultiPoly, truncate: tuple[int, int] |
     return extract_univariate(iterated_integrate(integrand, _bounds(name), truncate), X)
 
 
-def region_volume(name: str, at_x) -> Fraction:
-    """Exact Euclidean volume of a named region for a fixed x value.
-
-    The umbrella region "R" is the simplex minus its steep cap, which is the
-    only piece that has no single iterated-bounds form.
-    """
-    xv = Fraction(at_x)
-    if name == "R":
-        return region_volume("Delta3", xv) - region_volume("R2a", xv)
-    return region_integral(name, _affine(1)).evaluate([xv])
-
-
 def region_bounds_ordered(name: str, at_x) -> bool:
     """Exact check that lower <= upper for every bound pair at a fixed x.
 
@@ -245,8 +233,6 @@ def region_bounds_ordered(name: str, at_x) -> bool:
     outermost first through the two endpoints of each range decides the
     question.
     """
-    if name == "R":
-        return region_bounds_ordered("Delta3", at_x) and region_bounds_ordered("R2a", at_x)
     bounds = list(reversed(_bounds(name)))
 
     def walk(level: int, point: list[Fraction]) -> bool:

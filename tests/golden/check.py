@@ -41,13 +41,17 @@ def run_pin(entry: dict, out: str) -> tuple:
     return got, numpy_of(rep)
 
 
-def mismatch(entry: dict, code: int, out: str, numpy=None):
+def mismatch(entry: dict, code: int, out: str, numpy=None, err: str = ""):
     """None when a run exits 0 and prints what the entry pins; else a line
-    naming the argv and, for a JSON report, both the golden file's ``numpy``
-    and the run's (NEP 19 does not promise numpy's random streams across
+    naming the argv and either a failed run's exit code and last stderr line
+    ``err``, or, for a JSON report, both the golden file's ``numpy`` and the
+    run's (NEP 19 does not promise numpy's random streams across
     releases)."""
+    if code != 0:
+        last = err.strip().splitlines()[-1:] or ["no stderr"]
+        return f"{shlex.join(entry['argv'])}: exit {code}, {last[0]}"
     key, (got, run_numpy) = pin_key(entry), run_pin(entry, out)
-    if code == 0 and got == entry[key]:
+    if got == entry[key]:
         return None
     if key == "stdout":
         return f"{shlex.join(entry['argv'])}: exit {code}, stdout differs from the golden one"
@@ -65,10 +69,10 @@ def source_commit() -> str:
 
 def write(path, runs: list) -> list:
     """Rewrite the golden file at ``path`` from its entries' runs, (entry,
-    exit code, stdout) each, stamped with ``source_commit()`` and the numpy
-    the runs report; return the argv of every entry whose pin changed."""
+    exit code, stdout, stderr) each, stamped with ``source_commit()`` and the
+    numpy the runs report; return the argv of every entry whose pin changed."""
     entries, changed, numpy = [], [], None
-    for entry, code, out in runs:
+    for entry, code, out, _ in runs:
         key, (got, run_numpy) = pin_key(entry), run_pin(entry, out)
         numpy = numpy or run_numpy
         entries.append({**entry, key: got})
@@ -80,8 +84,9 @@ def write(path, runs: list) -> list:
 
 
 def run(cmd: str, entry: dict) -> tuple:
+    """Exit code, stdout and stderr of ``cmd`` followed by the entry's argv."""
     proc = subprocess.run(shlex.split(cmd) + entry["argv"], capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def main(argv=None) -> int:
@@ -97,7 +102,7 @@ def main(argv=None) -> int:
         status = 0
         for path, file_runs in runs.items():
             failed = [f"{path}: {shlex.join(e['argv'])}: exit {code}, file left as it is"
-                      for e, code, _ in file_runs if code != 0]
+                      for e, code, _, _ in file_runs if code != 0]
             if failed:
                 print(*failed, sep="\n")
                 status = 1
@@ -105,8 +110,8 @@ def main(argv=None) -> int:
                 changed = write(path, file_runs)
                 print(f"{path}: {len(changed)} of {len(file_runs)} entries changed", *changed, sep="\n  ")
         return status
-    bad = [f"{path}: {msg}" for path, file_runs in runs.items() for e, code, out in file_runs
-           if (msg := mismatch(e, code, out, numpy_of(docs[path])))]
+    bad = [f"{path}: {msg}" for path, file_runs in runs.items() for e, code, out, err in file_runs
+           if (msg := mismatch(e, code, out, numpy_of(docs[path]), err))]
     total = sum(map(len, runs.values()))
     print(*bad, f"{total - len(bad)} of {total} golden entries match", sep="\n")
     return 1 if bad else 0

@@ -5,7 +5,8 @@ builds another way, so that a test can compare the two: the projected root
 weights, the compatibility polytope of marginal gap pairs and Bravyi's
 marginal compatibility test built on it, the gap integrands built from the
 support breakpoints, the Vandermonde, gap integrands and region bounds of
-``sep_integral`` built by chains of ``MultiPoly`` operators, the marginal
+``sep_integral`` built by chains of ``MultiPoly`` operators, the product
+of two polynomials as a plain Fraction convolution, the marginal
 gap read from the partial trace of whole density matrices, the mass of a
 piecewise density between two points summed piece by piece, and the
 flat-measure Ginibre draw of a whole block in one array.
@@ -174,6 +175,17 @@ def bounds_by_operators(name: str) -> list[tuple[int, MultiPoly, MultiPoly]]:
             (T3, zero, x * 3),
         ],
     }[name if name != "R3a" else "R2a"]
+
+
+def convolve(p: dict, q: dict) -> dict:
+    """The product of two polynomials given as {exponent tuple: Fraction},
+    one Fraction multiply-add per term pair, zero coefficients dropped."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def ginibre(n: int, rng, size: int):

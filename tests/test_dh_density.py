@@ -23,11 +23,9 @@ from sepprob.dh_density import (
     marginal_gap_density,
     marginal_gap_density_numeric,
     marginal_support,
-    total_gap_mass,
-    vandermonde_over_twelve,
 )
 from sepprob.exactmath import MultiPoly
-from sepprob.volumes import CenteredSpectrum, Spectrum
+from sepprob.volumes import CenteredSpectrum, Spectrum, vandermonde
 
 class TestWeights:
     def test_multiset(self):
@@ -157,7 +155,7 @@ class TestMarginalGapDensity:
         assert d.evaluate(marginal_support(SPEC_45).b3) == 0
 
     def test_exact_mass_worked_example(self):
-        assert total_gap_mass(SPEC_45) == vandermonde_over_twelve(SPEC_45)
+        assert marginal_gap_density(SPEC_45).integral() == vandermonde(SPEC_45.entries) / 12
 
     def test_continuity_at_breakpoints(self):
         d = marginal_gap_density(SPEC_45)
@@ -175,7 +173,7 @@ class TestMarginalGapDensity:
         c = CenteredSpectrum([F(3, 20), F(1, 20), F(-1, 20), F(-3, 20)])
         d = marginal_gap_density(c)
         assert d.breakpoints[0] == 0 and d.breakpoints[1] > 0
-        assert total_gap_mass(c) == vandermonde_over_twelve(c)
+        assert d.integral() == vandermonde(c.entries) / 12
 
     def test_scaling_covariance(self):
         rng = random.Random(37)

@@ -7,7 +7,6 @@ tuples and Fractions, and iterated integrals modulo a power of a free
 variable against the full integral with its higher terms dropped."""
 
 from fractions import Fraction
-from operator import add
 
 import pytest
 
@@ -16,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import convolve
 from sepprob.exactmath import MultiPoly, compose, iterated_integrate, product
 
 ARITY = 3
@@ -101,22 +101,13 @@ def test_derivative_laws(p, q, var):
 # -- products and iterated integrals against a reference on plain Fraction dicts
 
 
-def _ref_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return out
-
-
 def _ref_substitute(p, var, value, arity):
     out, powers = {}, [{(0,) * arity: Fraction(1)}]
     for e, c in p.items():
         while len(powers) <= e[var]:
-            powers.append(_ref_mul(powers[-1], value))
+            powers.append(convolve(powers[-1], value))
         rest = {e[:var] + (0,) + e[var + 1 :]: c}
-        for e2, c2 in _ref_mul(rest, powers[e[var]]).items():
+        for e2, c2 in convolve(rest, powers[e[var]]).items():
             out[e2] = out.get(e2, Fraction(0)) + c2
     return out
 
@@ -158,7 +149,7 @@ def test_product_is_the_scaled_chain_of_factors(case):
     for f in factors[1:]:
         chain = chain * f
     for f in factors:
-        ref = _ref_mul(ref, f.terms)
+        ref = convolve(ref, f.terms)
     got = product(factors, scale)
     assert got.terms == chain.terms
     assert got == MultiPoly(arity, ref)
@@ -276,7 +267,7 @@ def sparse_plans(draw, arity):
 @given(data=st.data())
 def test_packed_product_matches_tuple_reference(arity, data):
     p, q = data.draw(high_polys(arity)), data.draw(high_polys(arity))
-    assert p * q == MultiPoly(arity, _ref_mul(p.terms, q.terms))
+    assert p * q == MultiPoly(arity, convolve(p.terms, q.terms))
 
 
 @pytest.mark.parametrize("arity", [1, 5])

@@ -1,6 +1,7 @@
 """Negative control of the golden runner: one corrupted value in a copy of a
 golden file is reported, by entry and with the golden and the run's numpy,
-in-process and through a command prefix."""
+in-process and through a command prefix; a failed run is reported with its
+exit code and last stderr line."""
 
 import json
 import shlex
@@ -43,7 +44,10 @@ def test_in_process_mismatch_names_the_entry_and_numpy(tmp_path, cli_run):
         assert msg.endswith(f"(golden numpy {GOLDEN_NUMPY}, run numpy {np.__version__})")
     grid = corrupted[2]
     assert mismatch(grid, *cli_run(grid["argv"])) == "density --grid 20: exit 0, stdout differs from the golden one"
-    assert mismatch({**corrupted[0], "results": {}}, 1, "") == f"{shlex.join(corrupted[0]['argv'])}: exit 1, results differ from the golden ones (golden numpy None, run numpy None)"
+    err = "Traceback (most recent call last):\n  ...\nModuleNotFoundError: No module named 'sepprob'\n"
+    argv = shlex.join(corrupted[0]["argv"])
+    assert mismatch(corrupted[0], 1, "", None, err) == f"{argv}: exit 1, ModuleNotFoundError: No module named 'sepprob'"
+    assert mismatch(corrupted[0], 1, "") == f"{argv}: exit 1, no stderr"
 
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["results", "checks", "stdout"])

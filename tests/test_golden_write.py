@@ -1,6 +1,7 @@
 """Negative control of the golden runner's write mode, without numpy: a write
 of unchanged outputs changes only the stamps, and a write repairs a
-corrupted value that check mode reports."""
+corrupted value that check mode reports.  Check mode names a run that fails
+by its exit code and last stderr line."""
 
 import json
 import shlex
@@ -62,3 +63,13 @@ def test_write_leaves_a_file_with_a_failing_run_as_it_is(tmp_path, child_env):
     proc = runner(child_env, "--write", path)
     assert (proc.returncode, proc.stdout) == (1, f"{path}: volumes --n 0: exit 2, file left as it is\n")
     assert path.read_text() == text
+
+
+def test_check_names_a_failed_run_by_its_last_stderr_line(tmp_path, child_env):
+    path = tmp_path / "fails.json"
+    path.write_text(json.dumps({"entries": [{"argv": ["volumes", "--n", "4"], "results": {}}]}))
+    fail = "import sys; sys.stderr.write('Traceback\\nModuleNotFoundError: stand-in\\n'); sys.exit(3)"
+    cmd = [sys.executable, str(GOLDEN / "check.py"), "--cmd", shlex.join([sys.executable, "-c", fail]), str(path)]
+    proc = subprocess.run(cmd, env=child_env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.splitlines()) == (
+        1, [f"{path}: volumes --n 4: exit 3, ModuleNotFoundError: stand-in", "0 of 1 golden entries match"])
