@@ -273,7 +273,7 @@ def ppt_decision_mismatch(w: np.ndarray, tol: float = sp.PPT_TOL) -> str | None:
 
 def check_sampling_core(seed: int) -> Check:
     rng = sp.stream_rng(seed)
-    rho = sp.hs_random_state(4, rng)
+    rho = sp.hs_random_state(rng)
     if not sp.is_valid_density_matrix(rho):
         return False, "flat-measure sample is not a density matrix"
     u = next(sp._orbit_chunks(rng, 1))[1][..., 0]  # (column, row) of one orbit draw

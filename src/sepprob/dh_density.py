@@ -193,15 +193,6 @@ class PiecewisePoly1D:
         if len(self.pieces) != len(self.breakpoints) - 1:
             raise ValueError("need exactly one piece per interval")
 
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        if x < self.breakpoints[0] or x > self.breakpoints[-1]:
-            return Fraction(0)
-        for i in range(len(self.pieces)):
-            if x <= self.breakpoints[i + 1]:
-                return self.pieces[i].evaluate([x])
-        return Fraction(0)
-
     def evaluate_float(self, x: float) -> float:
         if x < float(self.breakpoints[0]) or x > float(self.breakpoints[-1]):
             return 0.0

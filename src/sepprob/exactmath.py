@@ -216,10 +216,8 @@ class MultiPoly:
         return cls(arity, {tuple(exps): Fraction(1)})
 
     @classmethod
-    def linear(cls, arity: int, coeffs: Mapping[int, Fraction] | Sequence, const=0) -> "MultiPoly":
+    def linear(cls, arity: int, coeffs: Mapping[int, Fraction], const=0) -> "MultiPoly":
         """Affine form const + sum coeffs[i] * x_i, built straight from its coefficients."""
-        if not isinstance(coeffs, Mapping):
-            coeffs = dict(enumerate(coeffs))
         terms = {(0,) * arity: Fraction(const)}
         for i, c in coeffs.items():
             if not 0 <= i < arity:
@@ -292,13 +290,11 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self, var: int | None = None) -> int:
-        """Total degree, or degree in one variable; zero polynomial gives -1."""
+    def degree(self) -> int:
+        """Total degree; zero polynomial gives -1."""
         if not self.terms:
             return -1
-        if var is None:
-            return max(sum(e) for e in self.terms)
-        return max(e[var] for e in self.terms)
+        return max(sum(e) for e in self.terms)
 
     def min_degree_in(self, var: int) -> int:
         """Smallest exponent of ``var`` across terms; -1 for the zero polynomial."""
@@ -557,9 +553,9 @@ def _square_free_split(n: int) -> tuple[int, int]:
 class SymbolicReal:
     """Exact constant coeff * pi**pi_power * sqrt(radicand).
 
-    The radicand is kept square-free; zero is canonically (0, 0, 1).  Sums
-    are only defined between like terms (same pi power and radicand), which
-    is all the volume formulas need.
+    The radicand is kept square-free; zero is canonically (0, 0, 1).  Only
+    products and quotients are defined, which is all the volume formulas
+    need.
     """
 
     __slots__ = ("coeff", "pi_power", "radicand")
@@ -601,26 +597,6 @@ class SymbolicReal:
                 raise ValueError("quotient would need a negative pi power")
             return SymbolicReal(self.coeff / other.coeff, self.pi_power - other.pi_power, 1)
         return SymbolicReal(self.coeff / Fraction(other), self.pi_power, self.radicand)
-
-    def _like(self, other: "SymbolicReal") -> bool:
-        return (self.pi_power, self.radicand) == (other.pi_power, other.radicand)
-
-    def __add__(self, other: "SymbolicReal") -> "SymbolicReal":
-        if not isinstance(other, SymbolicReal):
-            other = SymbolicReal(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if not self._like(other):
-            raise ValueError("sum of unlike symbolic constants is not representable")
-        return SymbolicReal(self.coeff + other.coeff, self.pi_power, self.radicand)
-
-    def __sub__(self, other: "SymbolicReal") -> "SymbolicReal":
-        return self + (other * Fraction(-1))
-
-    def __neg__(self) -> "SymbolicReal":
-        return self * Fraction(-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolicReal):

@@ -121,18 +121,16 @@ def _ginibre_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, 
         yield s, gt
 
 
-def hs_random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One two-qubit density matrix (``n`` = 4) under the flat measure:
-    G G^dag / tr(G G^dag), with G a 4x4 standard complex Gaussian matrix."""
-    return _hs_random_block(n, rng, 1)[0]
+def hs_random_state(rng: np.random.Generator) -> np.ndarray:
+    """One two-qubit density matrix under the flat measure: G G^dag /
+    tr(G G^dag), with G a 4x4 standard complex Gaussian matrix."""
+    return _hs_random_block(rng, 1)[0]
 
 
-def _hs_random_block(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+def _hs_random_block(rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` flat-measure states as (size, 4, 4): the ``_ginibre_chunks``
     draw through ``_gram_flat``, divided by its trace, as the estimator's
     decision reads it."""
-    if n != 4:
-        raise ValueError("the flat-measure sampler draws two-qubit states (n = 4)")
     rho = np.empty((size, 16), dtype=complex)
     for s, gt in _ginibre_chunks(rng, size):
         wt = _gram_flat(gt)
@@ -141,10 +139,12 @@ def _hs_random_block(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def hs_random_states(n: int, count: int, seed: int, threads: int = 1) -> np.ndarray:
-    """``count`` flat-measure states (``n`` = 4), reproducible regardless of
-    thread count: the very states ``estimate_sep_prob`` decides on for the
-    same seed."""
-    return _blocked_map(lambda rng, size: _hs_random_block(n, rng, size), count, seed, threads)
+    """``count`` flat-measure states (``n`` = 4, the only dimension drawn),
+    reproducible regardless of thread count: the very states
+    ``estimate_sep_prob`` decides on for the same seed."""
+    if n != 4:
+        raise ValueError("the flat-measure sampler draws two-qubit states (n = 4)")
+    return _blocked_map(_hs_random_block, count, seed, threads)
 
 
 def _cgs2(cols: np.ndarray) -> np.ndarray:
@@ -409,8 +409,9 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
 
 
 # ---------------------------------------------------------------------------
-# Hit-and-run on a fixed-marginal slice: the reference the slice sampler is
-# tested against; nothing in the package samples with it.
+# Hit-and-run on a fixed-marginal slice; nothing in the package samples with
+# it.  It stays only because perfbench/replay.py conditioned() reads it, and
+# meanwhile one test also uses it as a second law check of the slice sampler.
 
 def _conditioned_basis() -> np.ndarray:
     """Orthonormal (HS) basis of the 12 traceless directions that leave the

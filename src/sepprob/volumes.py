@@ -92,10 +92,6 @@ class CenteredSpectrum:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def is_simple(self) -> bool:
-        return _is_strictly_descending(self.entries)
-
     def scaled(self, tau) -> "CenteredSpectrum":
         t = Fraction(tau)
         if t <= 0:

@@ -46,7 +46,7 @@ def mismatch(entry: dict, code: int, out: str, numpy=None, err: str = ""):
     naming the argv and either a failed run's exit code and last stderr line
     ``err``, or, for a JSON report, both the golden file's ``numpy`` and the
     run's (NEP 19 does not promise numpy's random streams across
-    releases)."""
+    releases).  Write mode names a failed run by the same line."""
     if code != 0:
         last = err.strip().splitlines()[-1:] or ["no stderr"]
         return f"{shlex.join(entry['argv'])}: exit {code}, {last[0]}"
@@ -101,8 +101,8 @@ def main(argv=None) -> int:
     if args.write:
         status = 0
         for path, file_runs in runs.items():
-            failed = [f"{path}: {shlex.join(e['argv'])}: exit {code}, file left as it is"
-                      for e, code, _, _ in file_runs if code != 0]
+            failed = [f"{path}: {mismatch(e, code, out, err=err)}, file left as it is"
+                      for e, code, out, err in file_runs if code != 0]
             if failed:
                 print(*failed, sep="\n")
                 status = 1

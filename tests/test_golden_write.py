@@ -1,6 +1,6 @@
 """Negative control of the golden runner's write mode, without numpy: a write
 of unchanged outputs changes only the stamps, and a write repairs a
-corrupted value that check mode reports.  Check mode names a run that fails
+corrupted value that check mode reports.  Both modes name a run that fails
 by its exit code and last stderr line."""
 
 import json
@@ -61,7 +61,8 @@ def test_write_leaves_a_file_with_a_failing_run_as_it_is(tmp_path, child_env):
     text = json.dumps({"source_commit": "x", "entries": [{"argv": ["volumes", "--n", "0"], "results": {}}]}, indent=1)
     path.write_text(text)
     proc = runner(child_env, "--write", path)
-    assert (proc.returncode, proc.stdout) == (1, f"{path}: volumes --n 0: exit 2, file left as it is\n")
+    assert (proc.returncode, proc.stdout) == (1, f"{path}: volumes --n 0: exit 2, sepprob volumes: error: "
+                                                 "argument --n: must be positive and finite, got 0, file left as it is\n")
     assert path.read_text() == text
 
 

@@ -1,6 +1,9 @@
 """Monte Carlo lab tests: samplers, the orbit draw, transpose tests, the
-slice sampler and its reference walk, and their statistical properties at
-small scale.
+slice sampler, the hit-and-run walk, and their statistical properties at
+small scale.  The walk stays in the package only because
+perfbench/replay.py conditioned() reads it; while it is there,
+``TestSliceSampler::test_matches_walk_in_distribution`` also uses it as a
+second law check of the slice sampler.
 
 ``hs_random_states`` gives the states ``estimate_sep_prob`` decides on, and
 ``reference.ginibre`` is the whole-block draw that ``_ginibre_chunks`` streams,
@@ -44,7 +47,7 @@ def phase_fixed_qr(g: np.ndarray) -> np.ndarray:
 
 class TestFlatMeasureSampler:
     def test_single_sample_valid(self):
-        rho = sp.hs_random_state(4, sp.stream_rng(0))
+        rho = sp.hs_random_state(sp.stream_rng(0))
         assert sp.is_valid_density_matrix(rho)
 
     def test_eigenvalues_sum_to_one(self):
@@ -126,11 +129,11 @@ class TestGramSchmidtCore:
 
 class TestPartialTranspose:
     def test_involution(self):
-        rho = sp.hs_random_state(4, sp.stream_rng(12))
+        rho = sp.hs_random_state(sp.stream_rng(12))
         assert np.array_equal(sp.partial_transpose(sp.partial_transpose(rho)), rho)
 
     def test_output_hermitian(self):
-        rho = sp.hs_random_state(4, sp.stream_rng(13))
+        rho = sp.hs_random_state(sp.stream_rng(13))
         pt = sp.partial_transpose(rho)
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-14
 
@@ -463,7 +466,8 @@ class TestMarginalGap:
 
 
 class TestConditionedWalk:
-    """The hit-and-run walk, in the package while perfbench/replay.py reads it."""
+    """The hit-and-run walk, in the package only because
+    perfbench/replay.py conditioned() reads it."""
 
     def test_marginal_fixed_along_stream(self):
         a = 0.2
@@ -639,7 +643,7 @@ def test_ppt_fraction_constant_across_marginal_radius():
     p = 8 / 33
 
     def block(rng, size):
-        states = sp._hs_random_block(4, rng, size)
+        states = sp._hs_random_block(rng, size)
         return np.stack([sp._ppt_decide(states, sp.PPT_TOL)[0], marginal_gaps_block(states)], axis=1)
 
     ppt, radius = sp._blocked_map(block, 1 << 20, 62, 1).T

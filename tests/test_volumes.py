@@ -48,11 +48,6 @@ class TestFlagVolumes:
         assert flag_volume_euclid(2) == SymbolicReal(1, 1)          # pi
         assert flag_volume_euclid(4) == SymbolicReal(F(1, 12), 6)   # pi^6 / 12
 
-    def test_scaling_relation(self):
-        for n in range(1, 9):
-            b = n * (n - 1) // 2
-            assert flag_volume_hs(n) == flag_volume_euclid(n) * (2**b)
-
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             flag_volume_hs(0)
@@ -94,11 +89,6 @@ class TestStateSpaceVolume:
     def test_qubit(self):
         # sqrt(2) * 2 pi / 6, i.e. (pi/3) sqrt(2).
         assert state_space_volume_hs(2) == SymbolicReal(F(1, 3), 1, 2)
-
-    def test_two_qubit(self):
-        # 2 (2 pi)^6 (2!)(3!) / 15!
-        expected = SymbolicReal(F(2 * 64 * 2 * 6, factorial(15)), 6)
-        assert state_space_volume_hs(4) == expected
 
     def test_simplex_integral_values(self):
         assert simplex_vandermonde_integral(1) == 1
