@@ -35,6 +35,7 @@ _MASS_TRIALS = 10  # random spectra, "marginal density mass"
 _ORACLE_GRID = 50  # interior points per spectrum, "marginal oracle"
 _GAP_COUNT = 20_000  # orbit samples, "fixed-spectrum gaps"
 _GRAM_TOL = 1e-12  # relative error of the column-layout Gram, "sampling core"
+_MOMENT_Z = 4.5  # |z| bound of each sampled mean, "flat-measure moments"
 
 
 def _random_poly(rng: random.Random, arity: int, degree: int) -> MultiPoly:
@@ -308,6 +309,52 @@ def check_sampling_core(seed: int) -> Check:
     return True, detail
 
 
+def _partial_transposes(states: np.ndarray) -> np.ndarray:
+    """rho^Gamma of a (batch, 4, 4) array, the second qubit's indices swapped."""
+    return states.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+
+
+def _trace_cubes(states: np.ndarray) -> np.ndarray:
+    return np.einsum("bij,bjk,bki->b", states, states, states).real
+
+
+_OFF_DIAGONAL = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+# (name, f as a polynomial in the entries of rho, f of a (batch, 4, 4) array).
+FLAT_MOMENTS = (
+    ("tr rho^2", vol.trace_power_poly(2), lambda r: np.einsum("bij,bij->b", r, r.conj()).real),
+    ("tr rho^3", vol.trace_power_poly(3), _trace_cubes),
+    ("tr (rho^G)^3", vol.trace_power_poly(3, vol.partial_transpose_entry),
+     lambda r: _trace_cubes(_partial_transposes(r))),
+    ("det rho", vol.det_poly(), lambda r: np.linalg.det(r).real),
+    ("det rho^G", vol.det_poly(vol.partial_transpose_entry), lambda r: np.linalg.det(_partial_transposes(r)).real),
+    # Phase-sensitive: E rho_ij^2 = 0 for i != j, while E |rho_ij|^2 > 0.
+    ("Re rho_ij^2", {((i, j), (i, j)): 1 for i, j in _OFF_DIAGONAL},
+     lambda r: sum(r[:, i, j] ** 2 for i, j in _OFF_DIAGONAL).real),
+)
+
+
+def check_flat_moments(seed: int, count: int) -> Check:
+    """Statistic: z = (sample mean - exact mean) / sample stderr of each of
+    ``FLAT_MOMENTS`` over ``count`` flat-measure states, the exact means by
+    Wick contraction (``volumes.flat_moment``).  The Re rho_ij^2 entry is
+    summed over the six pairs i < j.  Sigma model: iid draws, sample
+    standard deviation.  Bound |z| <= 4.5 on every moment: a false-alarm rate
+    of at most 6 P(|z| > 4.5) = 4.1e-5 (Bonferroni).  A draw whose law is not
+    the flat one, such as one with its imaginary plane scaled by 1.1, moves
+    the phase-sensitive moment by tens of sigma at 2^15 states."""
+    states = sp.hs_random_states(4, count, seed)
+    zs = []
+    for name, poly, sample in FLAT_MOMENTS:
+        values = sample(states)
+        exact = float(vol.flat_moment(poly))
+        zs.append((name, (values.mean() - exact) / (values.std(ddof=1) / math.sqrt(count))))
+    alarm = len(zs) * math.erfc(_MOMENT_Z / 2**0.5)
+    detail = (", ".join(f"{name} z={z:+.2f}" for name, z in zs)
+              + f" (n={count}, bound |z| <= {_MOMENT_Z}, false alarm {alarm:.2g})")
+    return all(abs(z) <= _MOMENT_Z for _, z in zs), detail
+
+
 def check_fixed_spectrum(seed: int) -> Check:
     lam = [0.45, 0.27, 0.18, 0.10]
     b3 = float(dh.marginal_support(SPEC_45).b3)
@@ -420,6 +467,7 @@ def run_all(seed: int = 42, deep: bool = False) -> Iterator[tuple[str, bool, str
     mc_n = 1_000_000 if deep else 50_000
     slice_n = 100_000 if deep else 20_000
     law_n = 1_000_000 if deep else 200_000
+    moment_n = 1 << 18 if deep else 1 << 15
     slices = functools.cache(lambda: conditioned_slices(seed + 11, slice_n))
     steps = (
         ("poly distributivity", lambda: check_ring_axioms(seed)),
@@ -435,6 +483,7 @@ def run_all(seed: int = 42, deep: bool = False) -> Iterator[tuple[str, bool, str
         ("exact pipeline", check_exact_pipeline),
         ("sampling core", lambda: check_sampling_core(seed + 8)),
         ("fixed-spectrum gaps", lambda: check_fixed_spectrum(seed + 9)),
+        ("flat-measure moments", lambda: check_flat_moments(seed + 3, moment_n)),
         ("global separability fraction", lambda: check_monte_carlo_global(seed + 10, mc_n)),
         ("conditioned constancy", lambda: check_conditioned_constancy(slices())),
         ("transpose vs half-bound tests", lambda: check_halfbound_equivalence(slices()[0], slice_n)),

@@ -1,17 +1,20 @@
-"""Closed-form Hilbert-Schmidt and symplectic volumes.
+"""Closed-form Hilbert-Schmidt and symplectic volumes, and exact moments of
+the flat measure.
 
 Covers flag manifolds U(N)/T^N, regular adjoint orbits, the qudit state
 space, and coadjoint orbits, all as exact symbolic constants.  Gamma of an
 integer argument is a factorial, so nothing here leaves the rationals except
-the explicit pi powers and sqrt(N) factors.
+the explicit pi powers and sqrt(N) factors.  Polynomial moments of the
+induced measures rho = G G^dag / tr(G G^dag) come from Wick's theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Sequence
+from itertools import permutations, product
+from math import factorial, prod
+from typing import Callable, Sequence
 
 from .exactmath import SymbolicReal
 
@@ -167,3 +170,70 @@ def hs_symplectic_relation_holds(centered: CenteredSpectrum) -> bool:
     lhs = adjoint_orbit_volume_hs(centered.entries)
     rhs = coadjoint_symplectic_volume(centered) * vandermonde(centered.entries)
     return lhs == rhs
+
+
+# A polynomial in the entries of a matrix rho: {monomial: integer
+# coefficient}, a monomial being a tuple of (row, column) index pairs.
+EntryPoly = dict[tuple[tuple[int, int], ...], int]
+
+
+def partial_transpose_entry(i: int, j: int) -> tuple[int, int]:
+    """The entry of a two-qubit rho at which rho^Gamma (second qubit
+    transposed) has entry (i, j): rho^Gamma[2a + b, 2c + d] = rho[2a + d, 2c + b]."""
+    return (i & 2) | (j & 1), (j & 2) | (i & 1)
+
+
+def _identity_entry(i: int, j: int) -> tuple[int, int]:
+    return i, j
+
+
+def trace_power_poly(k: int, entry: Callable = _identity_entry, dim: int = 4) -> EntryPoly:
+    """tr M^k with M[i, j] = rho[entry(i, j)]."""
+    out: EntryPoly = {}
+    for idx in product(range(dim), repeat=k):
+        mono = tuple(entry(idx[t], idx[(t + 1) % k]) for t in range(k))
+        out[mono] = out.get(mono, 0) + 1
+    return out
+
+
+def det_poly(entry: Callable = _identity_entry, dim: int = 4) -> EntryPoly:
+    """det M with M[i, j] = rho[entry(i, j)], by the Leibniz formula."""
+    out: EntryPoly = {}
+    for perm in permutations(range(dim)):
+        sign = (-1) ** sum(perm[a] > perm[b] for a in range(dim) for b in range(a + 1, dim))
+        mono = tuple(entry(i, perm[i]) for i in range(dim))
+        out[mono] = out.get(mono, 0) + sign
+    return out
+
+
+def _cycle_count(perm: Sequence[int]) -> int:
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        cycles += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+    return cycles
+
+
+def flat_moment(poly: EntryPoly, env: int = 4, dim: int = 4) -> Fraction:
+    """E f(rho), exact, for rho = W / tr W with W = G G^dag and G a dim x env
+    standard complex Gaussian (E |G_ij|^2 = 1); env = dim is the flat
+    (Hilbert-Schmidt) measure.  ``poly`` is f, homogeneous of degree k.
+
+    By Wick's theorem, E prod_t W[r_t, s_t] = sum over permutations pi of
+    the k factors of prod_t delta(r_t, s_pi(t)) * env^cycles(pi): the
+    contraction pairs each G with a conj G of the same entry, and each cycle
+    of pi sums one free column index.  rho is independent of tr W ~
+    Gamma(dim * env), so E f(rho) = E f(W) / E (tr W)^k, the rising
+    factorial (dim env)(dim env + 1)...(dim env + k - 1)."""
+    degrees = {len(mono) for mono in poly}
+    if len(degrees) != 1:
+        raise ValueError("the moment polynomial must be homogeneous")
+    k = degrees.pop()
+    total = 0
+    for mono, coeff in poly.items():
+        for pi in permutations(range(k)):
+            if all(mono[t][0] == mono[pi[t]][1] for t in range(k)):
+                total += coeff * env ** _cycle_count(pi)
+    return Fraction(total, prod(range(dim * env, dim * env + k)))

@@ -258,6 +258,12 @@ class TestVerifyVerb:
         assert rep["seed"] == 42 and rep["wall_clock_s"] is not None
         assert rep["results"] == {"deep": False}
 
+    def test_verify_all_deep_reports_deep(self, cli_run):
+        # The same in-process run that the golden --deep entry compares.
+        code, out = cli_run(["verify", "all", "--seed", "42", "--deep"])
+        rep = json.loads(out)
+        assert code == 0 and rep["pass"] is True and rep["results"] == {"deep": True}
+
     def test_verify_all_times_each_check(self, verify_all_42):
         _, rep = verify_all_42
         assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in rep["checks"])

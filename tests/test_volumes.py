@@ -12,11 +12,15 @@ from sepprob.volumes import (
     Spectrum,
     adjoint_orbit_volume_hs,
     coadjoint_symplectic_volume,
+    det_poly,
+    flat_moment,
     flag_volume_euclid,
     flag_volume_hs,
     hs_symplectic_relation_holds,
+    partial_transpose_entry,
     simplex_vandermonde_integral,
     state_space_volume_hs,
+    trace_power_poly,
     vandermonde,
 )
 
@@ -124,3 +128,22 @@ class TestSpectrumTypes:
     def test_simple_flag(self):
         assert Spectrum([F(1, 2), F(1, 4), F(1, 4)]).is_simple is False
         assert Spectrum([F(1, 2), F(1, 3), F(1, 6)]).is_simple is True
+
+
+class TestFlatMoments:
+    """Wick-contraction moments of rho = G G^dag / tr, G a 4 x K complex
+    Gaussian; K = 4 is the flat measure."""
+
+    def test_flat_measure_values(self):
+        pt = partial_transpose_entry
+        got = [flat_moment(p) for p in (trace_power_poly(2), trace_power_poly(3), trace_power_poly(3, pt),
+                                         det_poly(), det_poly(pt))]
+        assert got == [F(8, 17), F(9, 34), F(4, 17), F(1, 3876), F(-7, 3876)]
+
+    def test_off_diagonal_squares_vanish(self):
+        assert all(flat_moment({((i, j), (i, j)): 1}) == 0 for i in range(4) for j in range(4) if i != j)
+
+    @pytest.mark.parametrize("env", [1, 4, 5, 8])
+    def test_purity_of_induced_measures(self, env):
+        # E tr rho^2 = (N + K) / (N K + 1) (Zyczkowski & Sommers, J. Phys. A 34, 7111, 2001).
+        assert flat_moment(trace_power_poly(2), env) == F(4 + env, 4 * env + 1)
