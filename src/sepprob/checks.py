@@ -290,9 +290,12 @@ def check_sampling_core(seed: int) -> Check:
         return False, "maximally entangled state misses min eigenvalue -1/2"
     if sp.is_ppt(bell):
         return False, "maximally entangled state passed the transpose test"
-    # 2000 unnormalised G G^dag draws, plus the Werner state at p = 1/3
-    # (lambda_min = 0), which takes the eigvalsh fallback.
-    g = next(sp._ginibre_chunks(sp.stream_rng(seed, 1), 2000))[1].T.reshape(2000, 4, 4)
+    # 2000 slice-filtered draws G, full 4x4 matrices as the slice sampler
+    # feeds them to the Gram (the unfiltered Bartlett factors are
+    # triangular), plus the Werner state at p = 1/3 (lambda_min = 0), which
+    # takes the eigvalsh fallback.
+    lt = next(sp._wishart_chunks(sp.stream_rng(seed, 1), 2000))[1]
+    g = sp._slice_filter(0.5, lt).T.reshape(2000, 4, 4)
     mismatch = gram_flat_mismatch(g)
     if mismatch:
         return False, f"column-layout G G^dag disagrees with matmul: {mismatch}"
@@ -340,9 +343,12 @@ def check_flat_moments(seed: int, count: int) -> Check:
     Wick contraction (``volumes.flat_moment``).  The Re rho_ij^2 entry is
     summed over the six pairs i < j.  Sigma model: iid draws, sample
     standard deviation.  Bound |z| <= 4.5 on every moment: a false-alarm rate
-    of at most 6 P(|z| > 4.5) = 4.1e-5 (Bonferroni).  A draw whose law is not
-    the flat one, such as one with its imaginary plane scaled by 1.1, moves
-    the phase-sensitive moment by tens of sigma at 2^15 states."""
+    of at most 6 P(|z| > 4.5) = 4.1e-5 (Bonferroni).  Power, measured at
+    2^15 states: Bartlett draws with the Gamma shapes reversed, without the
+    1/sqrt(2) of the normals, or with their imaginary parts scaled by 1.1
+    reach |z| = 140, 215 and 31.  A 4x4 complex Gaussian G with its
+    imaginary part scaled by 1.1 moves only Re rho_ij^2, to z = +2.6 here
+    and +8.3 at the deep run's 2^18 states."""
     states = sp.hs_random_states(4, count, seed)
     zs = []
     for name, poly, sample in FLAT_MOMENTS:

@@ -1,6 +1,8 @@
 """Monte Carlo cross-validation lab for two-qubit separability.
 
-Random density matrices under the flat (Hilbert-Schmidt) measure, Haar
+Random density matrices under the flat (Hilbert-Schmidt) measure
+rho = W / tr W, with W = L L^dag for L the Bartlett factor of a complex
+Wishart matrix (Goodman, Ann. Math. Stat. 34, 152, 1963), Haar
 fixed-spectrum orbits, exact iid draws on fixed-marginal slices by local
 filtering, the positive-partial-transpose test and the marginal-gap statistic.
 A hit-and-run walk stays only because perfbench/replay.py conditioned() reads it.
@@ -9,10 +11,9 @@ Everything stochastic is driven by SFC64 streams keyed by (seed, stream
 index) through numpy's SeedSequence, so results are bit-reproducible for a
 given seed and independent of how work is split across threads.  Batch
 entry points carve the sample range into fixed blocks, one stream per
-block.  Inside a block the samplers stream cache-sized chunks: the
-flat-measure estimator and the slice sampler read ``_ginibre_chunks`` (the
-block's real plane whole, then its imaginary plane chunk by chunk), the
-orbit sampler ``_orbit_chunks``.
+block.  Inside a block the samplers stream cache-sized chunks, each read
+from the block's stream in order: the flat-measure estimator and the slice
+sampler read ``_wishart_chunks``, the orbit sampler ``_orbit_chunks``.
 """
 
 from __future__ import annotations
@@ -96,44 +97,53 @@ def is_valid_density_matrix(rho: np.ndarray) -> bool:
     return float(np.linalg.eigvalsh(rho)[0]) >= -PSD_TOL
 
 
-def _ginibre_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The one flat-measure draw of the estimator and the slice sampler: the
-    4x4 Ginibre matrices of a ``size``-sample block as (start, gt) per chunk
-    of m <= ``_CHUNK`` samples, gt of shape (16, m) in the column layout of
-    ``_gram_flat`` (row 4r + c holds G[r, c]), each entry
-    (a + 1j*b) / sqrt(2) with a and b standard normals.
+# Where a 4x4 Bartlett factor L sits in the (16, m) layout (row 4r + c holds
+# L[r, c]): each diagonal entry with the Gamma shape of |L_ii|^2, and the six
+# entries below the diagonal, row by row.
+_DIAG_SHAPES = ((0, 4.0), (5, 3.0), (10, 2.0), (15, 1.0))
+_BELOW = np.array([4, 8, 9, 12, 13, 14])
 
-    The stream holds every real normal of the block before the first
-    imaginary one, so the real plane is read whole as
-    standard_normal((size, 16)); the imaginary plane is read one chunk at a
-    time as standard_normal((m, 16)), which gives the same numbers as one
-    call because ``standard_normal`` carries no state between calls."""
+
+def _wishart_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The one flat-measure draw of the estimator and the slice sampler: the
+    Bartlett factors L of a ``size``-sample block, as (start, lt) per chunk
+    of m <= ``_CHUNK`` samples, lt of shape (16, m) in the column layout of
+    ``_gram_flat``.
+
+    W = L L^dag has the law of G G^dag for G a 4x4 standard complex Gaussian
+    (complex Wishart with 4 degrees of freedom): its Cholesky factor L is
+    lower triangular with independent entries, L_ii = sqrt(Gamma(4 - i)) for
+    i = 0..3 and standard complex normals below the diagonal (the complex
+    Bartlett decomposition; Goodman, Ann. Math. Stat. 34, 152, 1963).  So a
+    state costs 16 random numbers instead of 32.  Each chunk reads ``rng`` in
+    order: standard_gamma(shape, m) for shapes 4, 3, 2, 1, square-rooted,
+    then standard_normal((2, 6, m)) / sqrt(2), the real and imaginary planes
+    of the entries below the diagonal; above it lt is zero."""
     scale = 1.0 / np.sqrt(2.0)
-    re = rng.standard_normal((size, 16))
-    re *= scale
     for s in range(0, size, _CHUNK):
         m = min(_CHUNK, size - s)
-        gt = np.empty((16, m), dtype=complex)
-        im = rng.standard_normal((m, 16))
-        im *= scale
-        gt.real, gt.imag = re[s : s + m].T, im.T
-        del im  # else it stays alive while the caller works on the chunk
-        yield s, gt
+        lt = np.zeros((16, m), dtype=complex)
+        for k, shape in _DIAG_SHAPES:
+            np.sqrt(rng.standard_gamma(shape, m), out=lt.real[k])
+        z = rng.standard_normal((2, 6, m))
+        z *= scale
+        lt.real[_BELOW], lt.imag[_BELOW] = z
+        yield s, lt
 
 
 def hs_random_state(rng: np.random.Generator) -> np.ndarray:
-    """One two-qubit density matrix under the flat measure: G G^dag /
-    tr(G G^dag), with G a 4x4 standard complex Gaussian matrix."""
+    """One two-qubit density matrix under the flat measure: W / tr W with
+    W = L L^dag, L the Bartlett factor that ``_wishart_chunks`` draws."""
     return _hs_random_block(rng, 1)[0]
 
 
 def _hs_random_block(rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` flat-measure states as (size, 4, 4): the ``_ginibre_chunks``
+    """``size`` flat-measure states as (size, 4, 4): the ``_wishart_chunks``
     draw through ``_gram_flat``, divided by its trace, as the estimator's
     decision reads it."""
     rho = np.empty((size, 16), dtype=complex)
-    for s, gt in _ginibre_chunks(rng, size):
-        wt = _gram_flat(gt)
+    for s, lt in _wishart_chunks(rng, size):
+        wt = _gram_flat(lt)
         rho[s : s + _CHUNK] = (wt / (wt[0] + wt[5] + wt[10] + wt[15]).real).T
     return rho.reshape(size, 4, 4)
 
@@ -317,13 +327,12 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
     lambda_min >= -tolerance; states with |lambda_min| < tolerance are
     also reported as indeterminate.  Deterministic given the seed.
 
-    Each block reads its stream through ``_ginibre_chunks``: the real plane
-    of its Ginibre draw whole, then the imaginary plane one chunk of
-    ``_CHUNK`` samples at a time, each chunk in a (16, chunk) column layout
-    (one row per matrix entry), so that the unnormalised G G^dag and the
-    determinant below are a few dozen array passes that stay in cache, with
-    no batched matmul and no whole-block complex array.  The
-    decision reads the sign of det(rho^Gamma) (``_sign_decide``), and
+    Each block reads its stream through ``_wishart_chunks``: the Bartlett
+    factors L one chunk of ``_CHUNK`` samples at a time, each chunk in a
+    (16, chunk) column layout (one row per matrix entry), so that the
+    unnormalised W = L L^dag and the determinant below are a few dozen array
+    passes that stay in cache, with no batched matmul and no whole-block
+    array.  The decision reads the sign of det(rho^Gamma) (``_sign_decide``), and
     eigvalsh only where |det| < max(tolerance, 1e-12); the counts are those
     of ``ppt_min_eigs`` on the normalised states.
     """
@@ -333,8 +342,8 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
 
     def block_stats(rng, size):
         counts = np.zeros((1, 2), dtype=np.int64)
-        for _, gt in _ginibre_chunks(rng, size):
-            ppt, band = _ppt_decide_flat(_gram_flat(gt), tol)
+        for _, lt in _wishart_chunks(rng, size):
+            ppt, band = _ppt_decide_flat(_gram_flat(lt), tol)
             counts += [np.count_nonzero(ppt), np.count_nonzero(band)]
         return counts
 
@@ -516,20 +525,21 @@ _HALF_BAND = 1e-9  # |lambda_max - 1/2| below this is a tie (band_count)
 _HALF_DET_FLOOR = 1e-7
 
 
-def _slice_filter(a: float, gt: np.ndarray) -> np.ndarray:
-    """Map, in place, a ``_ginibre_chunks`` chunk ``gt`` of Ginibre draws G
-    in (16, m) layout (the block's real plane read whole, its imaginary
-    plane chunk by chunk) to G' = (M x I) G, whose ``_gram_flat`` is a
+def _slice_filter(a: float, lt: np.ndarray) -> np.ndarray:
+    """Map, in place, a ``_wishart_chunks`` chunk ``lt`` of Bartlett factors
+    L in (16, m) layout to L' = (M x I) L, whose ``_gram_flat`` is a
     flat-measure draw (trace one) on the slice of first marginal
     sigma = diag((1 + a)/2, (1 - a)/2), with M = sigma^(1/2) W_A^(-1/2) and
-    W_A = [[p, q], [q*, s]] the first marginal of G G^dag.  M is fixed on
-    each fiber of fixed W_A and maps it linearly onto the slice, so the
-    draws are exact (Lovas & Andai, J. Phys. A 50, 295303, 2017); it keeps
+    W_A = [[p, q], [q*, s]] the first marginal of W = L L^dag.  M depends
+    on L only through W_A = Tr_B(L L^dag), a function of W alone, so any
+    factor of W gives the same state; L' itself is no longer triangular.  M
+    is fixed on each fiber of fixed W_A and maps it linearly onto the slice,
+    so the draws are exact (Lovas & Andai, J. Phys. A 50, 295303, 2017); it keeps
     every PPT verdict.  Each sample is filtered on its own, so chunks of any
     size give the same states.  For 2x2 positive X, sqrt X =
     (X + d I) / sqrt(tr X + 2d) with d = sqrt(det X), inverted by
     adjugate / d."""
-    top, bot = gt[:8], gt[8:]  # rows of G with first-qubit index 0 and 1
+    top, bot = lt[:8], lt[8:]  # rows of L with first-qubit index 0 and 1
     p = np.einsum("kb,kb->b", top.real, top.real) + np.einsum("kb,kb->b", top.imag, top.imag)
     s = np.einsum("kb,kb->b", bot.real, bot.real) + np.einsum("kb,kb->b", bot.imag, bot.imag)
     q = np.einsum("kb,kb->b", top, bot.conj())
@@ -540,7 +550,7 @@ def _slice_filter(a: float, gt: np.ndarray) -> np.ndarray:
     bot *= v * (p + d)
     bot -= (v * q.conj()) * top
     top[...] = new_top
-    return gt
+    return lt
 
 
 def _half_bounded(wt: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -566,9 +576,9 @@ def conditioned_ppt_stats(a: float, config: SamplerConfig, threads: int = 1) -> 
     PPT verdict, so one seed gives the same PPT count at every radius by
     construction.
 
-    Each block reads its stream through ``_ginibre_chunks``, as
-    ``estimate_sep_prob`` does (the real plane whole, then the imaginary
-    plane chunk by chunk), and each chunk goes through ``_slice_filter``,
+    Each block reads its stream through ``_wishart_chunks``, as
+    ``estimate_sep_prob`` does (the Bartlett factors L of W = L L^dag, chunk
+    by chunk), and each chunk goes through ``_slice_filter``,
     ``_gram_flat`` and both verdicts, the PPT test and lambda_max <= 1/2,
     each read from the sign of a determinant (``_sign_decide``); the counts
     are summed chunk by chunk.  The blocks run on ``threads`` threads and the
@@ -577,15 +587,15 @@ def conditioned_ppt_stats(a: float, config: SamplerConfig, threads: int = 1) -> 
         raise ValueError("Bloch radius must lie in [0, 1)")
     tol = config.tolerance
 
-    def chunk_counts(gt):
-        wt = _gram_flat(_slice_filter(a, gt))
+    def chunk_counts(lt):
+        wt = _gram_flat(_slice_filter(a, lt))
         ppt, indeterminate = _ppt_decide_flat(wt, tol)
         bounded, in_band = _half_bounded(wt, tol)
         agree = (ppt == bounded) & ~in_band
         return [np.count_nonzero(m) for m in (ppt, indeterminate, in_band, agree)]
 
     def block_stats(rng, size):
-        return np.sum([chunk_counts(gt) for _, gt in _ginibre_chunks(rng, size)], axis=0, keepdims=True)
+        return np.sum([chunk_counts(lt) for _, lt in _wishart_chunks(rng, size)], axis=0, keepdims=True)
 
     counts = _blocked_map(block_stats, config.count, config.seed, threads, _SLICE_STREAMS).sum(axis=0)
     ppt, indeterminate, in_band, agree = (int(c) for c in counts)

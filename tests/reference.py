@@ -8,8 +8,9 @@ support breakpoints, the Vandermonde, gap integrands and region bounds of
 ``sep_integral`` built by chains of ``MultiPoly`` operators, the product
 of two polynomials as a plain Fraction convolution, the marginal
 gap read from the partial trace of whole density matrices, the mass of a
-piecewise density between two points summed piece by piece, and the
-flat-measure Ginibre draw of a whole block in one array.
+piecewise density between two points summed piece by piece, a complex
+Gaussian (Ginibre) draw, and the flat-measure Bartlett draw built as whole
+lower-triangular matrices.
 """
 
 from dataclasses import dataclass
@@ -190,9 +191,7 @@ def convolve(p: dict, q: dict) -> dict:
 
 def ginibre(n: int, rng, size: int):
     """``size`` n x n complex Gaussian matrices (a + 1j*b) / sqrt(2), shape
-    (size, n, n), every real normal drawn before the first imaginary one.
-    For n = 4, ``ginibre(4, rng, size).reshape(size, 16)[s : s + m].T`` is bit
-    for bit the chunk that ``sampling._ginibre_chunks(rng, size)`` yields at s."""
+    (size, n, n), every real normal drawn before the first imaginary one."""
     import numpy as np
 
     g = np.empty((size, n, n), dtype=complex)
@@ -202,6 +201,26 @@ def ginibre(n: int, rng, size: int):
     # float view gives the same bits as (a + 1j*b) / sqrt(2).
     g.view(float)[...] *= 1.0 / np.sqrt(2.0)
     return g
+
+
+def bartlett(rng, size: int, chunk: int):
+    """``size`` lower-triangular 4x4 factors L with L L^dag complex Wishart
+    (4 degrees of freedom), shape (size, 4, 4), drawn ``chunk`` samples at a
+    time: L_ii = sqrt(Gamma(4 - i)), real, from one standard_gamma call over
+    the shapes (4, 3, 2, 1) as a column, then the real and imaginary parts of
+    the entries below the diagonal, in ``np.tril_indices`` order, each a
+    standard normal over sqrt(2)."""
+    import numpy as np
+
+    rows, cols = np.tril_indices(4, -1)
+    out = np.zeros((size, 4, 4), dtype=complex)
+    for s in range(0, size, chunk):
+        m = min(chunk, size - s)
+        diag = np.sqrt(rng.standard_gamma(np.array([[4.0], [3.0], [2.0], [1.0]]), (4, m)))
+        re, im = rng.standard_normal((2, 6, m)) * (1.0 / np.sqrt(2.0))
+        out[s : s + m, range(4), range(4)] = diag.T
+        out[s : s + m, rows, cols] = re.T + 1j * im.T
+    return out
 
 
 def marginal_gaps_block(states):

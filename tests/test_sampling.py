@@ -6,8 +6,9 @@ perfbench/replay.py conditioned() reads it; while it is there,
 second law check of the slice sampler.
 
 ``hs_random_states`` gives the states ``estimate_sep_prob`` decides on, and
-``reference.ginibre`` is the whole-block draw that ``_ginibre_chunks`` streams,
-bit for bit.  The full-scale global fraction, slice fractions, half-bound
+``reference.bartlett`` is the draw that ``_wishart_chunks`` streams, bit for
+bit; ``reference.ginibre`` gives the full matrices that the Gram and decision
+kernels are also tested on.  The full-scale global fraction, slice fractions, half-bound
 agreement and orbit histogram are acceptance criteria 7-10, and the sampling
 core and fixed-spectrum checks of verify all hold their small-scale
 counterparts.  Statistical assertions run at fixed seeds, so they are
@@ -22,7 +23,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from reference import ginibre, marginal_gaps_block, moment_polytope
+from reference import bartlett, ginibre, marginal_gaps_block, moment_polytope
 from sepprob import sampling as sp
 from sepprob.checks import SPEC_45, conditioned_slices, gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
 from sepprob.dh_density import marginal_gap_density, marginal_support
@@ -240,14 +241,14 @@ class TestFlatKernel:
         assert np.array_equal(flat[0], blocks[0]) and np.array_equal(flat[1], blocks[1])
 
     @pytest.mark.parametrize("size", [1, 7, sp._CHUNK, sp._CHUNK + 1, 2 * sp._CHUNK + 5, sp._BLOCK])
-    def test_streamed_draw_is_the_whole_block_draw(self, size):
-        want = ginibre(4, sp.stream_rng(42, size), size).reshape(size, 16)
+    def test_streamed_draw_is_the_bartlett_draw(self, size):
+        want = bartlett(sp.stream_rng(42, size), size, sp._CHUNK).reshape(size, 16)
         starts = []
-        for start, gt in sp._ginibre_chunks(sp.stream_rng(42, size), size):
+        for start, lt in sp._wishart_chunks(sp.stream_rng(42, size), size):
             m = min(sp._CHUNK, size - start)
-            assert gt.shape == (16, m) and gt.flags.c_contiguous
+            assert lt.shape == (16, m) and lt.flags.c_contiguous
             chunk = np.ascontiguousarray(want[start : start + m].T)
-            assert np.array_equal(gt.view(np.int64), chunk.view(np.int64)), start
+            assert np.array_equal(lt.view(np.int64), chunk.view(np.int64)), start
             starts.append(start)
         assert starts == list(range(0, size, sp._CHUNK))
 
@@ -258,9 +259,8 @@ class TestFlatKernel:
     ids=["estimate_sep_prob", "conditioned_ppt_stats"],
 )
 def test_one_block_allocates_less_than_a_whole_block_array(run):
-    # A whole-block complex Ginibre array alone is 32768 * 16 * 16 bytes =
-    # 8 MiB; the streamed draw keeps only the real plane (4 MiB) and one
-    # chunk at a time.
+    # A whole-block complex array of 4x4 matrices alone is 32768 * 16 * 16
+    # bytes = 8 MiB; the streamed draw keeps one chunk at a time.
     config = sp.SamplerConfig(seed=9, count=sp._BLOCK)
     run(config)  # first-call allocations are not the sampler's
     tracemalloc.start()
@@ -503,7 +503,7 @@ class TestConditionedWalk:
 def slice_states(a: float, seed: int, count: int) -> np.ndarray:
     """``count`` slice-sampler states at radius ``a`` as (count, 4, 4), from
     one stream read as one block."""
-    chunks = [sp._gram_flat(sp._slice_filter(a, gt)) for _, gt in sp._ginibre_chunks(sp.stream_rng(seed), count)]
+    chunks = [sp._gram_flat(sp._slice_filter(a, lt)) for _, lt in sp._wishart_chunks(sp.stream_rng(seed), count)]
     return np.concatenate(chunks, axis=1).T.reshape(count, 4, 4)
 
 
@@ -612,7 +612,7 @@ class TestSliceSampler:
         for i, start in enumerate(range(0, count, sp._BLOCK)):
             size = min(sp._BLOCK, count - start)
             rng = sp.stream_rng(seed, sp._SLICE_STREAMS + i)
-            chunks = [sp._gram_flat(sp._slice_filter(a, gt)) for _, gt in sp._ginibre_chunks(rng, size)]
+            chunks = [sp._gram_flat(sp._slice_filter(a, lt)) for _, lt in sp._wishart_chunks(rng, size)]
             states = np.concatenate(chunks, axis=1).T.reshape(size, 4, 4)
             mins, lam_max = sp.ppt_min_eigs(states), np.linalg.eigvalsh(states)[:, -1]
             ppt, tie = mins >= -tol, np.abs(lam_max - 0.5) < sp._HALF_BAND
