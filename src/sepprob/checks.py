@@ -321,37 +321,34 @@ def _trace_cubes(states: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bjk,bki->b", states, states, states).real
 
 
-_OFF_DIAGONAL = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-
-# (name, f as a polynomial in the entries of rho, f of a (batch, 4, 4) array).
-FLAT_MOMENTS = (
-    ("tr rho^2", vol.trace_power_poly(2), lambda r: np.einsum("bij,bij->b", r, r.conj()).real),
-    ("tr rho^3", vol.trace_power_poly(3), _trace_cubes),
-    ("tr (rho^G)^3", vol.trace_power_poly(3, vol.partial_transpose_entry),
-     lambda r: _trace_cubes(_partial_transposes(r))),
-    ("det rho", vol.det_poly(), lambda r: np.linalg.det(r).real),
-    ("det rho^G", vol.det_poly(vol.partial_transpose_entry), lambda r: np.linalg.det(_partial_transposes(r)).real),
-    # Phase-sensitive: E rho_ij^2 = 0 for i != j, while E |rho_ij|^2 > 0.
-    ("Re rho_ij^2", {((i, j), (i, j)): 1 for i, j in _OFF_DIAGONAL},
-     lambda r: sum(r[:, i, j] ** 2 for i, j in _OFF_DIAGONAL).real),
-)
-
-
 def check_flat_moments(seed: int, count: int) -> Check:
-    """Statistic: z = (sample mean - exact mean) / sample stderr of each of
-    ``FLAT_MOMENTS`` over ``count`` flat-measure states, the exact means by
-    Wick contraction (``volumes.flat_moment``).  The Re rho_ij^2 entry is
-    summed over the six pairs i < j.  Sigma model: iid draws, sample
-    standard deviation.  Bound |z| <= 4.5 on every moment: a false-alarm rate
-    of at most 6 P(|z| > 4.5) = 4.1e-5 (Bonferroni).  Power, measured at
-    2^15 states: Bartlett draws with the Gamma shapes reversed, without the
-    1/sqrt(2) of the normals, or with their imaginary parts scaled by 1.1
-    reach |z| = 140, 215 and 31.  A 4x4 complex Gaussian G with its
-    imaginary part scaled by 1.1 moves only Re rho_ij^2, to z = +2.6 here
-    and +8.3 at the deep run's 2^18 states."""
+    """Statistic: z = (sample mean - exact mean) / sample stderr of six
+    moments over ``count`` flat-measure states, the exact means by Wick
+    contraction (``volumes.flat_moment``): tr rho^2, tr rho^3,
+    tr (rho^Gamma)^3, det rho, det rho^Gamma, and the phase-sensitive
+    Re rho_ij^2 summed over the six pairs i < j (E rho_ij^2 = 0, while
+    E |rho_ij|^2 > 0).  Sigma model: iid draws, sample standard deviation.
+    Bound |z| <= 4.5 on every moment: a false-alarm rate of at most
+    6 P(|z| > 4.5) = 4.1e-5 (Bonferroni).  Power, measured at 2^15 states:
+    Bartlett draws with the Gamma shapes reversed, without the 1/sqrt(2) of
+    the normals, or with their imaginary parts scaled by 1.1 reach |z| = 140,
+    215 and 31.  A 4x4 complex Gaussian G with its imaginary part scaled by
+    1.1 moves only Re rho_ij^2, to z = +2.6 here and +8.3 at the deep run's
+    2^18 states."""
+    pt = vol.partial_transpose_entry
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    # (name, f as a polynomial in the entries of rho, f of a (batch, 4, 4) array)
+    moments = (
+        ("tr rho^2", vol.trace_power_poly(2), lambda r: np.einsum("bij,bij->b", r, r.conj()).real),
+        ("tr rho^3", vol.trace_power_poly(3), _trace_cubes),
+        ("tr (rho^G)^3", vol.trace_power_poly(3, pt), lambda r: _trace_cubes(_partial_transposes(r))),
+        ("det rho", vol.det_poly(), lambda r: np.linalg.det(r).real),
+        ("det rho^G", vol.det_poly(pt), lambda r: np.linalg.det(_partial_transposes(r)).real),
+        ("Re rho_ij^2", {((i, j), (i, j)): 1 for i, j in pairs}, lambda r: sum(r[:, i, j] ** 2 for i, j in pairs).real),
+    )
     states = sp.hs_random_states(4, count, seed)
     zs = []
-    for name, poly, sample in FLAT_MOMENTS:
+    for name, poly, sample in moments:
         values = sample(states)
         exact = float(vol.flat_moment(poly))
         zs.append((name, (values.mean() - exact) / (values.std(ddof=1) / math.sqrt(count))))

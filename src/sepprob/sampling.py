@@ -332,8 +332,8 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
     (16, chunk) column layout (one row per matrix entry), so that the
     unnormalised W = L L^dag and the determinant below are a few dozen array
     passes that stay in cache, with no batched matmul and no whole-block
-    array.  The decision reads the sign of det(rho^Gamma) (``_sign_decide``), and
-    eigvalsh only where |det| < max(tolerance, 1e-12); the counts are those
+    array.  The decision reads the sign of det(rho^Gamma)
+    (``_sign_decide``), and eigvalsh only where |det| < max(tolerance, 1e-12); the counts are those
     of ``ppt_min_eigs`` on the normalised states.
     """
     if config.count < 1000:
@@ -534,8 +534,8 @@ def _slice_filter(a: float, lt: np.ndarray) -> np.ndarray:
     on L only through W_A = Tr_B(L L^dag), a function of W alone, so any
     factor of W gives the same state; L' itself is no longer triangular.  M
     is fixed on each fiber of fixed W_A and maps it linearly onto the slice,
-    so the draws are exact (Lovas & Andai, J. Phys. A 50, 295303, 2017); it keeps
-    every PPT verdict.  Each sample is filtered on its own, so chunks of any
+    so the draws are exact (Lovas & Andai, J. Phys. A 50, 295303, 2017); it
+    keeps every PPT verdict.  Each sample is filtered on its own, so chunks of any
     size give the same states.  For 2x2 positive X, sqrt X =
     (X + d I) / sqrt(tr X + 2d) with d = sqrt(det X), inverted by
     adjugate / d."""
