@@ -187,21 +187,22 @@ def _identity_entry(i: int, j: int) -> tuple[int, int]:
     return i, j
 
 
-def trace_power_poly(k: int, entry: Callable = _identity_entry, dim: int = 4) -> EntryPoly:
-    """tr M^k with M[i, j] = rho[entry(i, j)]."""
+def trace_power_poly(k: int, entry: Callable = _identity_entry) -> EntryPoly:
+    """tr M^k with M[i, j] = rho[entry(i, j)], for 4x4 rho."""
     out: EntryPoly = {}
-    for idx in product(range(dim), repeat=k):
+    for idx in product(range(4), repeat=k):
         mono = tuple(entry(idx[t], idx[(t + 1) % k]) for t in range(k))
         out[mono] = out.get(mono, 0) + 1
     return out
 
 
-def det_poly(entry: Callable = _identity_entry, dim: int = 4) -> EntryPoly:
-    """det M with M[i, j] = rho[entry(i, j)], by the Leibniz formula."""
+def det_poly(entry: Callable = _identity_entry) -> EntryPoly:
+    """det M with M[i, j] = rho[entry(i, j)], for 4x4 rho, by the Leibniz
+    formula."""
     out: EntryPoly = {}
-    for perm in permutations(range(dim)):
-        sign = (-1) ** sum(perm[a] > perm[b] for a in range(dim) for b in range(a + 1, dim))
-        mono = tuple(entry(i, perm[i]) for i in range(dim))
+    for perm in permutations(range(4)):
+        sign = (-1) ** sum(perm[a] > perm[b] for a in range(4) for b in range(a + 1, 4))
+        mono = tuple(entry(i, perm[i]) for i in range(4))
         out[mono] = out.get(mono, 0) + sign
     return out
 
@@ -216,17 +217,17 @@ def _cycle_count(perm: Sequence[int]) -> int:
     return cycles
 
 
-def flat_moment(poly: EntryPoly, env: int = 4, dim: int = 4) -> Fraction:
-    """E f(rho), exact, for rho = W / tr W with W = G G^dag and G a dim x env
-    standard complex Gaussian (E |G_ij|^2 = 1); env = dim is the flat
+def flat_moment(poly: EntryPoly, env: int = 4) -> Fraction:
+    """E f(rho), exact, for rho = W / tr W with W = G G^dag and G a 4 x env
+    standard complex Gaussian (E |G_ij|^2 = 1); env = 4 is the flat
     (Hilbert-Schmidt) measure.  ``poly`` is f, homogeneous of degree k.
 
     By Wick's theorem, E prod_t W[r_t, s_t] = sum over permutations pi of
     the k factors of prod_t delta(r_t, s_pi(t)) * env^cycles(pi): the
     contraction pairs each G with a conj G of the same entry, and each cycle
     of pi sums one free column index.  rho is independent of tr W ~
-    Gamma(dim * env), so E f(rho) = E f(W) / E (tr W)^k, the rising
-    factorial (dim env)(dim env + 1)...(dim env + k - 1)."""
+    Gamma(4 env), so E f(rho) = E f(W) / E (tr W)^k, the rising factorial
+    (4 env)(4 env + 1)...(4 env + k - 1)."""
     degrees = {len(mono) for mono in poly}
     if len(degrees) != 1:
         raise ValueError("the moment polynomial must be homogeneous")
@@ -236,4 +237,4 @@ def flat_moment(poly: EntryPoly, env: int = 4, dim: int = 4) -> Fraction:
         for pi in permutations(range(k)):
             if all(mono[t][0] == mono[pi[t]][1] for t in range(k)):
                 total += coeff * env ** _cycle_count(pi)
-    return Fraction(total, prod(range(dim * env, dim * env + k)))
+    return Fraction(total, prod(range(4 * env, 4 * env + k)))
