@@ -346,12 +346,16 @@ def check_flat_moments(seed: int, count: int) -> Check:
         ("det rho^G", vol.det_poly(pt), lambda r: np.linalg.det(_partial_transposes(r)).real),
         ("Re rho_ij^2", {((i, j), (i, j)): 1 for i, j in pairs}, lambda r: sum(r[:, i, j] ** 2 for i, j in pairs).real),
     )
-    states = sp.hs_random_states(4, count, seed)
+
+    def block(rng, size):  # the hs_random_states draw, one block at a time
+        states = sp._hs_random_block(rng, size)
+        return np.stack([sample(states) for _, _, sample in moments], axis=1)
+
+    values = sp._blocked_map(block, count, seed, 1)
     zs = []
-    for name, poly, sample in moments:
-        values = sample(states)
+    for (name, poly, _), v in zip(moments, values.T):
         exact = float(vol.flat_moment(poly))
-        zs.append((name, (values.mean() - exact) / (values.std(ddof=1) / math.sqrt(count))))
+        zs.append((name, (v.mean() - exact) / (v.std(ddof=1) / math.sqrt(count))))
     alarm = len(zs) * math.erfc(_MOMENT_Z / 2**0.5)
     detail = (", ".join(f"{name} z={z:+.2f}" for name, z in zs)
               + f" (n={count}, bound |z| <= {_MOMENT_Z}, false alarm {alarm:.2g})")

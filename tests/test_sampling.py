@@ -8,10 +8,10 @@ second law check of the slice sampler.
 ``hs_random_states`` gives the states ``estimate_sep_prob`` decides on, and
 ``reference.bartlett`` is the draw that ``_wishart_chunks`` streams, bit for
 bit; ``reference.ginibre`` gives the full matrices that the Gram and decision
-kernels are also tested on.  The full-scale global fraction, slice fractions, half-bound
-agreement and orbit histogram are acceptance criteria 7-10, and the sampling
-core and fixed-spectrum checks of verify all hold their small-scale
-counterparts.  Statistical assertions run at fixed seeds, so they are
+kernels are also tested on.  The full-scale global fraction, slice
+fractions, half-bound agreement and orbit histogram are acceptance criteria
+7-10, and the sampling core and fixed-spectrum checks of verify all hold
+their small-scale counterparts.  Statistical assertions run at fixed seeds, so they are
 deterministic; the thresholds were set with slack against reasonable seed
 changes.
 """
