@@ -34,7 +34,7 @@ _NONNEG_GRID = 100  # grid steps per axis, "density nonnegativity"
 _MASS_TRIALS = 10  # random spectra, "marginal density mass"
 _ORACLE_GRID = 50  # interior points per spectrum, "marginal oracle"
 _GAP_COUNT = 20_000  # orbit samples, "fixed-spectrum gaps"
-_GRAM_TOL = 1e-12  # relative error of the column-layout Gram, "sampling core"
+_GRAM_TOL = 1e-12  # relative error of the Gram and the slice filter, "sampling core"
 _MOMENT_Z = 4.5  # |z| bound of each sampled mean, "flat-measure moments"
 
 
@@ -248,14 +248,35 @@ def check_exact_pipeline() -> Check:
     return True, "Vandermonde, halves, radial identity, 8/33"
 
 
-def gram_flat_mismatch(g: np.ndarray) -> str | None:
-    """None when the estimator's column-layout Gram of the 4x4 matrices ``g``
-    equals the batched matmul g g^dag to relative error ``_GRAM_TOL`` (per
-    sample, against its largest entry); otherwise the worst error."""
-    want = (g @ g.conj().transpose(0, 2, 1)).reshape(len(g), 16).T
-    got = sp._gram_flat(g.reshape(len(g), 16).T.copy())
-    err = float(np.max(np.abs(got - want) / np.abs(want).max(axis=0)))
-    return None if err <= _GRAM_TOL else f"relative error {err:.3e} over {len(g)} samples"
+def flat_factor_mismatch(a: float, d: np.ndarray, z: np.ndarray) -> str | None:
+    """None when ``_gram_tri`` of the Bartlett planes (d, z) and of their
+    ``_slice_filter`` image at radius a equal the matmuls L L^dag of the
+    dense factors, the filtered factor (lower triangular, positive diagonal)
+    equals (M x I) L for M = sigma^(1/2) C^(-1), C numpy's Cholesky factor
+    of Tr_B(L L^dag), sigma = diag((1 + a)/2, (1 - a)/2), all to ``_GRAM_TOL``
+    per sample relative to its largest entry, and the filtered Gram's first
+    marginal is sigma within 1e-12; otherwise what fails."""
+    def dense(d, z):  # d on the diagonal, z[0] + i z[1] below it, row by row
+        g = np.zeros((d.shape[1], 4, 4), dtype=complex)
+        g[:, range(4), range(4)] = d.T
+        g[:, [1, 2, 2, 3, 3, 3], [0, 0, 1, 0, 1, 2]] = (z[0] + 1j * z[1]).T
+        return g
+
+    fd, fz = sp._slice_filter(a, d.copy(), z.copy())
+    g, fg = dense(d, z), dense(fd, fz)
+    w, fw = (f @ f.conj().transpose(0, 2, 1) for f in (g, fg))
+    root = np.diag(np.sqrt([(1 + a) / 2, (1 - a) / 2]))
+    w_a = np.einsum("bijkj->bik", w.reshape(-1, 2, 2, 2, 2))
+    want = np.kron(root @ np.linalg.inv(np.linalg.cholesky(w_a)), np.eye(2)) @ g
+    tri, ftri = (sp._gram_tri(*planes).T.reshape(-1, 4, 4) for planes in ((d, z), (fd, fz)))
+    for name, got, ref in (("flat Gram", tri, w), ("slice filter", fg, want), ("filtered Gram", ftri, fw)):
+        err = float(np.max(np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))))
+        if err > _GRAM_TOL:
+            return f"{name} off the dense matmul by relative error {err:.3e} over {len(g)} samples"
+    off = np.max(np.abs(np.einsum("bijkj->bik", ftri.reshape(-1, 2, 2, 2, 2)) - root**2))
+    if off > 1e-12 or not (fd > 0).all():
+        return f"slice filter: diagonal min {fd.min():.3e}, first marginal off sigma by {off:.3e}"
+    return None
 
 
 def ppt_decision_mismatch(w: np.ndarray, tol: float = sp.PPT_TOL) -> str | None:
@@ -267,8 +288,7 @@ def ppt_decision_mismatch(w: np.ndarray, tol: float = sp.PPT_TOL) -> str | None:
     for name, got, want in (("PPT", ppt, mins >= -tol), ("band", band, np.abs(mins) < tol)):
         bad = np.flatnonzero(got != want)
         if bad.size:
-            first = mins[bad[0]]
-            return f"{name} mask differs on {bad.size} of {len(w)} states (first at lambda_min {first:.3e})"
+            return f"{name} mask differs on {bad.size} of {len(w)} states (first at lambda_min {mins[bad[0]]:.3e})"
     return None
 
 
@@ -282,39 +302,27 @@ def check_sampling_core(seed: int) -> Check:
         return False, "orbit columns fail U†U = I"
     if np.max(np.abs(sp.partial_transpose(sp.partial_transpose(rho)) - rho)) != 0.0:
         return False, "partial transpose is not an involution"
-    bell = np.zeros((4, 4), dtype=complex)
-    for i in (0, 3):
-        for j in (0, 3):
-            bell[i, j] = 0.5
+    bell = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
     if abs(np.linalg.eigvalsh(sp.partial_transpose(bell))[0] + 0.5) > 1e-12:
         return False, "maximally entangled state misses min eigenvalue -1/2"
     if sp.is_ppt(bell):
         return False, "maximally entangled state passed the transpose test"
-    # 2000 slice-filtered draws G, full 4x4 matrices as the slice sampler
-    # feeds them to the Gram (the unfiltered Bartlett factors are
-    # triangular), plus the Werner state at p = 1/3 (lambda_min = 0), which
-    # takes the eigvalsh fallback.
-    lt = next(sp._wishart_chunks(sp.stream_rng(seed, 1), 2000))[1]
-    g = sp._slice_filter(0.5, lt).T.reshape(2000, 4, 4)
-    mismatch = gram_flat_mismatch(g)
+    # 2000 Bartlett factors, as drawn and slice-filtered at a = 1/2, and the
+    # Werner state at p = 1/3 (lambda_min = 0), which takes the eigvalsh fallback.
+    _, d, z = next(sp._wishart_chunks(sp.stream_rng(seed, 1), 2000))
+    mismatch = flat_factor_mismatch(0.5, d, z)
     if mismatch:
-        return False, f"column-layout G G^dag disagrees with matmul: {mismatch}"
-    werner = (np.eye(4) / 2 + bell) / 3
-    w = np.concatenate([g @ g.conj().transpose(0, 2, 1), werner[None]])
-    mismatch = ppt_decision_mismatch(w)
+        return False, mismatch
+    w = np.concatenate([sp._gram_tri(d, z), sp._gram_tri(*sp._slice_filter(0.5, d, z))], axis=1)
+    mismatch = ppt_decision_mismatch(np.concatenate([w.T.reshape(-1, 4, 4), (np.eye(4) / 2 + bell)[None] / 3]))
     if mismatch:
         return False, f"determinant decision disagrees with eigvalsh: {mismatch}"
     est1 = sp.estimate_sep_prob(sp.SamplerConfig(seed=seed, count=2000))
     est2 = sp.estimate_sep_prob(sp.SamplerConfig(seed=seed, count=2000), threads=4)
     if est1 != est2:
         return False, "estimator is not thread-deterministic"
-    detail = "validity, orbit columns, transpose, entangled witness, flat Gram, det decision, determinism"
+    detail = "validity, orbit columns, transpose, entangled witness, slice filter, flat Gram, det decision, determinism"
     return True, detail
-
-
-def _partial_transposes(states: np.ndarray) -> np.ndarray:
-    """rho^Gamma of a (batch, 4, 4) array, the second qubit's indices swapped."""
-    return states.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 
 
 def _trace_cubes(states: np.ndarray) -> np.ndarray:
@@ -341,9 +349,9 @@ def check_flat_moments(seed: int, count: int) -> Check:
     moments = (
         ("tr rho^2", vol.trace_power_poly(2), lambda r: np.einsum("bij,bij->b", r, r.conj()).real),
         ("tr rho^3", vol.trace_power_poly(3), _trace_cubes),
-        ("tr (rho^G)^3", vol.trace_power_poly(3, pt), lambda r: _trace_cubes(_partial_transposes(r))),
+        ("tr (rho^G)^3", vol.trace_power_poly(3, pt), lambda r: _trace_cubes(sp._pt_block(r))),
         ("det rho", vol.det_poly(), lambda r: np.linalg.det(r).real),
-        ("det rho^G", vol.det_poly(pt), lambda r: np.linalg.det(_partial_transposes(r)).real),
+        ("det rho^G", vol.det_poly(pt), lambda r: np.linalg.det(sp._pt_block(r)).real),
         ("Re rho_ij^2", {((i, j), (i, j)): 1 for i, j in pairs}, lambda r: sum(r[:, i, j] ** 2 for i, j in pairs).real),
     )
 

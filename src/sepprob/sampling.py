@@ -3,8 +3,9 @@
 Random density matrices under the flat (Hilbert-Schmidt) measure
 rho = W / tr W, with W = L L^dag for L the Bartlett factor of a complex
 Wishart matrix (Goodman, Ann. Math. Stat. 34, 152, 1963), Haar
-fixed-spectrum orbits, exact iid draws on fixed-marginal slices by local
-filtering, the positive-partial-transpose test and the marginal-gap statistic.
+fixed-spectrum orbits, exact iid draws on fixed-marginal slices by a local
+filter that keeps L triangular, the positive-partial-transpose test and the
+marginal-gap statistic.
 A hit-and-run walk stays only because perfbench/replay.py conditioned() reads it.
 
 Everything stochastic is driven by SFC64 streams keyed by (seed, stream
@@ -97,38 +98,27 @@ def is_valid_density_matrix(rho: np.ndarray) -> bool:
     return float(np.linalg.eigvalsh(rho)[0]) >= -PSD_TOL
 
 
-# Where a 4x4 Bartlett factor L sits in the (16, m) layout (row 4r + c holds
-# L[r, c]): each diagonal entry with the Gamma shape of |L_ii|^2, and the six
-# entries below the diagonal, row by row.
-_DIAG_SHAPES = ((0, 4.0), (5, 3.0), (10, 2.0), (15, 1.0))
-_BELOW = np.array([4, 8, 9, 12, 13, 14])
-
-
-def _wishart_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, np.ndarray]]:
+def _wishart_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The one flat-measure draw of the estimator and the slice sampler: the
-    Bartlett factors L of a ``size``-sample block, as (start, lt) per chunk
-    of m <= ``_CHUNK`` samples, lt of shape (16, m) in the column layout of
-    ``_gram_flat``.
+    Bartlett factors L of a ``size``-sample block, as (start, d, z) per
+    chunk of m <= ``_CHUNK`` samples: d (4, m) the diagonal, z (2, 6, m) the
+    real and imaginary planes of L_10, L_20, L_21, L_30, L_31, L_32.
 
     W = L L^dag has the law of G G^dag for G a 4x4 standard complex Gaussian
     (complex Wishart with 4 degrees of freedom): its Cholesky factor L is
     lower triangular with independent entries, L_ii = sqrt(Gamma(4 - i)) for
     i = 0..3 and standard complex normals below the diagonal (the complex
-    Bartlett decomposition; Goodman, Ann. Math. Stat. 34, 152, 1963).  So a
-    state costs 16 random numbers instead of 32.  Each chunk reads ``rng`` in
-    order: standard_gamma(shape, m) for shapes 4, 3, 2, 1, square-rooted,
-    then standard_normal((2, 6, m)) / sqrt(2), the real and imaginary planes
-    of the entries below the diagonal; above it lt is zero."""
+    Bartlett decomposition; Goodman, Ann. Math. Stat. 34, 152, 1963), 16
+    random numbers per state.  Each chunk reads ``rng`` in order:
+    standard_gamma(shape, m) for shapes 4, 3, 2, 1, square-rooted, then
+    standard_normal((2, 6, m)) / sqrt(2)."""
     scale = 1.0 / np.sqrt(2.0)
     for s in range(0, size, _CHUNK):
         m = min(_CHUNK, size - s)
-        lt = np.zeros((16, m), dtype=complex)
-        for k, shape in _DIAG_SHAPES:
-            np.sqrt(rng.standard_gamma(shape, m), out=lt.real[k])
+        d = np.sqrt([rng.standard_gamma(shape, m) for shape in (4.0, 3.0, 2.0, 1.0)])
         z = rng.standard_normal((2, 6, m))
         z *= scale
-        lt.real[_BELOW], lt.imag[_BELOW] = z
-        yield s, lt
+        yield s, d, z
 
 
 def hs_random_state(rng: np.random.Generator) -> np.ndarray:
@@ -139,11 +129,11 @@ def hs_random_state(rng: np.random.Generator) -> np.ndarray:
 
 def _hs_random_block(rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` flat-measure states as (size, 4, 4): the ``_wishart_chunks``
-    draw through ``_gram_flat``, divided by its trace, as the estimator's
+    draw through ``_gram_tri``, divided by its trace, as the estimator's
     decision reads it."""
     rho = np.empty((size, 16), dtype=complex)
-    for s, lt in _wishart_chunks(rng, size):
-        wt = _gram_flat(lt)
+    for s, d, z in _wishart_chunks(rng, size):
+        wt = _gram_tri(d, z)
         rho[s : s + _CHUNK] = (wt / (wt[0] + wt[5] + wt[10] + wt[15]).real).T
     return rho.reshape(size, 4, 4)
 
@@ -200,23 +190,30 @@ def ppt_min_eigs(states: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_pt_block(states))[:, 0]
 
 
-def _gram_flat(gt: np.ndarray) -> np.ndarray:
-    """W = G G^dag for a batch of 4x4 matrices in (16, n) column layout: row
-    4r + c of ``gt`` holds G[r, c] of every sample, and row 4r + s of the
-    result holds W[r, s].
-
-    Each entry is one reduction over the four columns, run across the whole
-    batch; the diagonal is real by construction and W[s, r] = conj W[r, s].
-    """
-    n = gt.shape[1]
-    rows = gt.reshape(4, 4, n)
-    wt = np.empty((16, n), dtype=complex)
+def _gram_tri(d: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """W = L L^dag in the (16, m) layout (row 4r + s holds W[r, s]) for a
+    chunk of lower-triangular factors L with a real diagonal, given as the
+    ``_wishart_chunks`` planes: d the diagonal, z the entries below it.
+    W[r, s] for s <= r sums L[r, k] conj(L[s, k]) over k < s, plus
+    L[r, s] d_s: 44 real multiplies per sample against 128 for a full
+    complex Gram."""
+    x, y = z
+    # Entries of row r of L left of the diagonal, as (real, imag) rows.
+    below = [[], [(x[0], y[0])], [(x[1], y[1]), (x[2], y[2])], [(x[3], y[3]), (x[4], y[4]), (x[5], y[5])]]
+    wt = np.empty((16, d.shape[1]), dtype=complex)
+    re, im = wt.real, wt.imag
     for r in range(4):
-        re, im = rows[r].real, rows[r].imag
-        wt[5 * r] = np.einsum("mb,mb->b", re, re) + np.einsum("mb,mb->b", im, im)
-        for s in range(r + 1, 4):
-            np.einsum("mb,mb->b", rows[r], rows[s].conj(), out=wt[4 * r + s])
-            np.conjugate(wt[4 * r + s], out=wt[4 * s + r])
+        re[5 * r] = sum((a * a + b * b for a, b in below[r]), d[r] * d[r])
+        im[5 * r] = 0.0
+        for s in range(r):
+            (a, b), ds = below[r][s], d[s]
+            wr, wi = a * ds, b * ds
+            for (a, b), (c, e) in zip(below[r][:s], below[s]):
+                wr += a * c + b * e
+                wi += b * c - a * e
+            re[4 * r + s], im[4 * r + s] = wr, wi
+            re[4 * s + r] = wr
+            np.negative(wi, out=im[4 * s + r])
     return wt
 
 
@@ -327,29 +324,24 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
     lambda_min >= -tolerance; states with |lambda_min| < tolerance are
     also reported as indeterminate.  Deterministic given the seed.
 
-    Each block reads its stream through ``_wishart_chunks``: the Bartlett
-    factors L one chunk of ``_CHUNK`` samples at a time, each chunk in a
-    (16, chunk) column layout (one row per matrix entry), so that the
-    unnormalised W = L L^dag and the determinant below are a few dozen array
-    passes that stay in cache, with no batched matmul and no whole-block
-    array.  The decision reads the sign of det(rho^Gamma)
-    (``_sign_decide``), and eigvalsh only where |det| < max(tolerance, 1e-12); the counts are those
-    of ``ppt_min_eigs`` on the normalised states.
+    Each block reads its stream through ``_wishart_chunks``, the Bartlett
+    factors L one chunk of ``_CHUNK`` samples at a time, and ``_gram_tri``
+    forms W = L L^dag in a (16, chunk) column layout (one row per entry):
+    W and the determinant below are a few dozen array passes that stay in
+    cache, with no matmul and no whole-block array.  The decision reads the
+    sign of det(rho^Gamma) (``_sign_decide``), and eigvalsh only where
+    |det| < max(tolerance, 1e-12); the counts are those of ``ppt_min_eigs``
+    on the normalised states.
     """
     if config.count < 1000:
         raise ValueError("estimate_sep_prob needs at least 1000 samples")
     tol = config.tolerance
 
     def block_stats(rng, size):
-        counts = np.zeros((1, 2), dtype=np.int64)
-        for _, lt in _wishart_chunks(rng, size):
-            ppt, band = _ppt_decide_flat(_gram_flat(lt), tol)
-            counts += [np.count_nonzero(ppt), np.count_nonzero(band)]
-        return counts
+        masks = (_ppt_decide_flat(_gram_tri(d, z), tol) for _, d, z in _wishart_chunks(rng, size))
+        return np.sum([[np.count_nonzero(m) for m in pair] for pair in masks], axis=0, keepdims=True)
 
-    counts = _blocked_map(block_stats, config.count, config.seed, threads)
-    ppt = int(counts[:, 0].sum())
-    band = int(counts[:, 1].sum())
+    ppt, band = (int(c) for c in _blocked_map(block_stats, config.count, config.seed, threads).sum(axis=0))
     frac = ppt / config.count
     stderr = float(np.sqrt(frac * (1.0 - frac) / config.count))
     return SepEstimate(config.count, ppt, frac, stderr, band)
@@ -422,15 +414,9 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
 # it.  It stays only because perfbench/replay.py conditioned() reads it, and
 # meanwhile one test also uses it as a second law check of the slice sampler.
 
-def _conditioned_basis() -> np.ndarray:
-    """Orthonormal (HS) basis of the 12 traceless directions that leave the
-    first marginal untouched."""
-    mats = [np.kron(_I2, s) / 2.0 for s in _PAULIS]
-    mats += [np.kron(s1, s2) / 2.0 for s1 in _PAULIS for s2 in _PAULIS]
-    return np.array(mats)
-
-
-_BASIS12 = _conditioned_basis()
+# Orthonormal (HS) basis of the 12 traceless directions that leave the first
+# marginal untouched: I x s and s1 x s2 over the Paulis, each over 2.
+_BASIS12 = np.array([np.kron(s1, s2) / 2.0 for s1 in (_I2, *_PAULIS) for s2 in _PAULIS])
 
 
 class _ChainDriver:
@@ -525,32 +511,37 @@ _HALF_BAND = 1e-9  # |lambda_max - 1/2| below this is a tie (band_count)
 _HALF_DET_FLOOR = 1e-7
 
 
-def _slice_filter(a: float, lt: np.ndarray) -> np.ndarray:
-    """Map, in place, a ``_wishart_chunks`` chunk ``lt`` of Bartlett factors
-    L in (16, m) layout to L' = (M x I) L, whose ``_gram_flat`` is a
-    flat-measure draw (trace one) on the slice of first marginal
-    sigma = diag((1 + a)/2, (1 - a)/2), with M = sigma^(1/2) W_A^(-1/2) and
-    W_A = [[p, q], [q*, s]] the first marginal of W = L L^dag.  M depends
-    on L only through W_A = Tr_B(L L^dag), a function of W alone, so any
-    factor of W gives the same state; L' itself is no longer triangular.  M
-    is fixed on each fiber of fixed W_A and maps it linearly onto the slice,
-    so the draws are exact (Lovas & Andai, J. Phys. A 50, 295303, 2017); it
-    keeps every PPT verdict.  Each sample is filtered on its own, so chunks of any
-    size give the same states.  For 2x2 positive X, sqrt X =
-    (X + d I) / sqrt(tr X + 2d) with d = sqrt(det X), inverted by
-    adjugate / d."""
-    top, bot = lt[:8], lt[8:]  # rows of L with first-qubit index 0 and 1
-    p = np.einsum("kb,kb->b", top.real, top.real) + np.einsum("kb,kb->b", top.imag, top.imag)
-    s = np.einsum("kb,kb->b", bot.real, bot.real) + np.einsum("kb,kb->b", bot.imag, bot.imag)
-    q = np.einsum("kb,kb->b", top, bot.conj())
-    d = np.sqrt(p * s - (q.real**2 + q.imag**2))
-    scale = 1.0 / (d * np.sqrt(p + s + 2.0 * d))
-    u, v = math.sqrt((1.0 + a) / 2.0) * scale, math.sqrt((1.0 - a) / 2.0) * scale
-    new_top = (u * (s + d)) * top - (u * q) * bot
-    bot *= v * (p + d)
-    bot -= (v * q.conj()) * top
-    top[...] = new_top
-    return lt
+def _slice_filter(a: float, d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map, in place, the Bartlett planes (d, z) of a ``_wishart_chunks``
+    chunk to those of L' = (M x I) L, whose ``_gram_tri`` is a flat-measure
+    draw (trace one) on the slice of first marginal
+    sigma = diag((1 + a)/2, (1 - a)/2).  M = sigma^(1/2) C^(-1), with C the
+    Cholesky factor of W_A = Tr_B(L L^dag), is lower triangular with a
+    positive diagonal, and so is L'.  M depends on L only through W_A, is
+    fixed on each fibre of fixed W_A and maps it linearly onto the slice
+    (M W_A M^dag = sigma), so the draws are exact (Lovas & Andai, J. Phys. A
+    50, 295303, 2017); M x I acts on the first qubit only and keeps every
+    PPT verdict.  Each sample is filtered on its own."""
+    x, y = z
+    # p, q, s of W_A: rows 0-1 of L hold first-qubit index 0, rows 2-3 index 1.
+    p = d[0] * d[0] + d[1] * d[1] + x[0] * x[0] + y[0] * y[0]
+    s = d[2] * d[2] + d[3] * d[3] + sum(x[k] * x[k] + y[k] * y[k] for k in range(1, 6))
+    qr = d[0] * x[1] + x[0] * x[3] + y[0] * y[3] + d[1] * x[4]
+    qi = y[0] * x[3] - x[0] * y[3] - d[0] * y[1] - d[1] * y[4]
+    # C = [[sqrt p, 0], [q* / sqrt p, sqrt(det / p)]], det = p s - |q|^2.
+    rp = 1.0 / np.sqrt(p)
+    t = math.sqrt((1.0 - a) / 2.0) / np.sqrt(p * s - (qr * qr + qi * qi))
+    m00, m11 = math.sqrt((1.0 + a) / 2.0) * rp, t * np.sqrt(p)
+    m10r, m10i = -t * rp * qr, t * rp * qi  # M[1, 0] = -t q* / sqrt p
+    # Rows 2-3 of L' are M[1, 0] (rows 0-1 of L) + M[1, 1] (rows 2-3 of L).
+    for k, dk in ((1, d[0]), (4, d[1])):  # L'_20, L'_31
+        x[k], y[k] = m11 * x[k] + m10r * dk, m11 * y[k] + m10i * dk
+    x[3], y[3] = m11 * x[3] + m10r * x[0] - m10i * y[0], m11 * y[3] + m10r * y[0] + m10i * x[0]  # L'_30
+    z[:, 2::3] *= m11  # L'_21, L'_32
+    d[2:] *= m11
+    z[:, 0] *= m00
+    d[:2] *= m00
+    return d, z
 
 
 def _half_bounded(wt: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -576,26 +567,27 @@ def conditioned_ppt_stats(a: float, config: SamplerConfig, threads: int = 1) -> 
     PPT verdict, so one seed gives the same PPT count at every radius by
     construction.
 
-    Each block reads its stream through ``_wishart_chunks``, as
-    ``estimate_sep_prob`` does (the Bartlett factors L of W = L L^dag, chunk
-    by chunk), and each chunk goes through ``_slice_filter``,
-    ``_gram_flat`` and both verdicts, the PPT test and lambda_max <= 1/2,
-    each read from the sign of a determinant (``_sign_decide``); the counts
-    are summed chunk by chunk.  The blocks run on ``threads`` threads and the
-    counts are the same at any thread count."""
+    Each block reads its stream through ``_wishart_chunks`` as
+    ``estimate_sep_prob`` does; ``_slice_filter`` maps each chunk of
+    Bartlett factors in place to triangular factors of slice states, which
+    go through the estimator's ``_gram_tri`` and both verdicts, the PPT test
+    and lambda_max <= 1/2, each read from the sign of a determinant
+    (``_sign_decide``); the counts are summed chunk by chunk.  The blocks
+    run on ``threads`` threads and the counts are the same at any thread
+    count."""
     if not 0.0 <= a < 1.0:
         raise ValueError("Bloch radius must lie in [0, 1)")
     tol = config.tolerance
 
-    def chunk_counts(lt):
-        wt = _gram_flat(_slice_filter(a, lt))
+    def chunk_counts(d, z):
+        wt = _gram_tri(*_slice_filter(a, d, z))
         ppt, indeterminate = _ppt_decide_flat(wt, tol)
         bounded, in_band = _half_bounded(wt, tol)
         agree = (ppt == bounded) & ~in_band
         return [np.count_nonzero(m) for m in (ppt, indeterminate, in_band, agree)]
 
     def block_stats(rng, size):
-        return np.sum([chunk_counts(lt) for _, lt in _wishart_chunks(rng, size)], axis=0, keepdims=True)
+        return np.sum([chunk_counts(d, z) for _, d, z in _wishart_chunks(rng, size)], axis=0, keepdims=True)
 
     counts = _blocked_map(block_stats, config.count, config.seed, threads, _SLICE_STREAMS).sum(axis=0)
     ppt, indeterminate, in_band, agree = (int(c) for c in counts)

@@ -7,8 +7,8 @@ second law check of the slice sampler.
 
 ``hs_random_states`` gives the states ``estimate_sep_prob`` decides on, and
 ``reference.bartlett`` is the draw that ``_wishart_chunks`` streams, bit for
-bit; ``reference.ginibre`` gives the full matrices that the Gram and decision
-kernels are also tested on.  The full-scale global fraction, slice
+bit; ``reference.ginibre`` gives the full matrices whose matmul Gram the
+decision kernel is also tested on.  The full-scale global fraction, slice
 fractions, half-bound agreement and orbit histogram are acceptance criteria
 7-10, and the sampling core and fixed-spectrum checks of verify all hold
 their small-scale counterparts.  Statistical assertions run at fixed seeds, so they are
@@ -25,7 +25,7 @@ import pytest
 
 from reference import bartlett, ginibre, marginal_gaps_block, moment_polytope
 from sepprob import sampling as sp
-from sepprob.checks import SPEC_45, conditioned_slices, gram_flat_mismatch, marginal_histogram, ppt_decision_mismatch
+from sepprob.checks import SPEC_45, conditioned_slices, flat_factor_mismatch, marginal_histogram, ppt_decision_mismatch
 from sepprob.dh_density import marginal_gap_density, marginal_support
 from sepprob.sep_integral import conditioned_volume, separable_slice_volume
 from sepprob.volumes import Spectrum
@@ -228,27 +228,36 @@ class TestFlatKernel:
     """The estimator's (16, n) column-layout kernels against the batched
     (batch, 4, 4) path."""
 
-    @pytest.mark.parametrize("size, start", CHUNKS)
+    @pytest.mark.parametrize("size, start", CHUNKS + [(sp._CHUNK + 1, 0), (sp._BLOCK, 0)])
     def test_gram_matches_matmul(self, size, start):
-        assert gram_flat_mismatch(ginibre_chunk(size, start)) is None
+        # Every chunk of a block from ``start`` on: the triangular Gram of the
+        # Bartlett planes and of their slice-filtered images against dense matmuls.
+        for s, d, z in sp._wishart_chunks(sp.stream_rng(41, size), size):
+            for a in (0.0, 0.6):
+                assert s < start or flat_factor_mismatch(a, d, z) is None
 
     @pytest.mark.parametrize("size, start", CHUNKS)
     @pytest.mark.parametrize("tol", [sp.PPT_TOL, 1e-3])
     def test_decision_matches_blocks(self, size, start, tol):
         g = ginibre_chunk(size, start)
-        flat = sp._ppt_decide_flat(sp._gram_flat(g.reshape(len(g), 16).T.copy()), tol)
-        blocks = sp._ppt_decide(g @ g.conj().transpose(0, 2, 1), tol)
-        assert np.array_equal(flat[0], blocks[0]) and np.array_equal(flat[1], blocks[1])
+        w = g @ g.conj().transpose(0, 2, 1)
+        ppt, band = sp._ppt_decide_flat(w.reshape(len(w), 16).T.copy(), tol)
+        mins = sp.ppt_min_eigs(w / np.einsum("bii->b", w).real[:, None, None])
+        assert np.array_equal(ppt, mins >= -tol) and np.array_equal(band, np.abs(mins) < tol)
 
     @pytest.mark.parametrize("size", [1, 7, sp._CHUNK, sp._CHUNK + 1, 2 * sp._CHUNK + 5, sp._BLOCK])
     def test_streamed_draw_is_the_bartlett_draw(self, size):
-        want = bartlett(sp.stream_rng(42, size), size, sp._CHUNK).reshape(size, 16)
+        want = bartlett(sp.stream_rng(42, size), size, sp._CHUNK)
+        rows, cols = np.tril_indices(4, -1)
         starts = []
-        for start, lt in sp._wishart_chunks(sp.stream_rng(42, size), size):
+        for start, d, z in sp._wishart_chunks(sp.stream_rng(42, size), size):
             m = min(sp._CHUNK, size - start)
-            assert lt.shape == (16, m) and lt.flags.c_contiguous
-            chunk = np.ascontiguousarray(want[start : start + m].T)
-            assert np.array_equal(lt.view(np.int64), chunk.view(np.int64)), start
+            assert d.shape == (4, m) and z.shape == (2, 6, m) and d.flags.c_contiguous and z.flags.c_contiguous
+            block = want[start : start + m]
+            assert not block[:, range(4), range(4)].imag.any() and not np.triu(block, 1).any()
+            for got, plane in ((d, block[:, range(4), range(4)].real), (z[0], block[:, rows, cols].real),
+                               (z[1], block[:, rows, cols].imag)):
+                assert np.array_equal(got.view(np.int64), np.ascontiguousarray(plane.T).view(np.int64)), start
             starts.append(start)
         assert starts == list(range(0, size, sp._CHUNK))
 
@@ -504,7 +513,7 @@ class TestConditionedWalk:
 def slice_states(a: float, seed: int, count: int) -> np.ndarray:
     """``count`` slice-sampler states at radius ``a`` as (count, 4, 4), from
     one stream read as one block."""
-    chunks = [sp._gram_flat(sp._slice_filter(a, lt)) for _, lt in sp._wishart_chunks(sp.stream_rng(seed), count)]
+    chunks = [sp._gram_tri(*sp._slice_filter(a, d, z)) for _, d, z in sp._wishart_chunks(sp.stream_rng(seed), count)]
     return np.concatenate(chunks, axis=1).T.reshape(count, 4, 4)
 
 
@@ -538,13 +547,14 @@ class TestSliceSampler:
 
     @pytest.mark.parametrize("a", [0.0, 0.4, 0.9])
     def test_ppt_verdict_kept_sample_by_sample(self, a):
-        # The same draws, filtered and not: the filter is an invertible local
-        # operation, so no sample may change its PPT verdict.
+        # The same Bartlett draws, filtered and not: the filter is an
+        # invertible local operation, so no sample may change its PPT verdict.
         n = 50_000
-        raw = ginibre(4, sp.stream_rng(53), n).reshape(n, 16).T.copy()
-        filtered = sp._slice_filter(a, raw.copy())
-        before = sp._ppt_decide_flat(sp._gram_flat(raw), sp.PPT_TOL)[0]
-        after = sp._ppt_decide_flat(sp._gram_flat(filtered), sp.PPT_TOL)[0]
+        before, after = [], []
+        for _, d, z in sp._wishart_chunks(sp.stream_rng(53), n):
+            before.append(sp._ppt_decide_flat(sp._gram_tri(d, z), sp.PPT_TOL)[0])
+            after.append(sp._ppt_decide_flat(sp._gram_tri(*sp._slice_filter(a, d, z)), sp.PPT_TOL)[0])
+        before, after = np.concatenate(before), np.concatenate(after)
         assert np.array_equal(before, after) and 0 < before.sum() < n
 
     @pytest.mark.parametrize("a", [1.0, -0.1])
@@ -613,7 +623,7 @@ class TestSliceSampler:
         for i, start in enumerate(range(0, count, sp._BLOCK)):
             size = min(sp._BLOCK, count - start)
             rng = sp.stream_rng(seed, sp._SLICE_STREAMS + i)
-            chunks = [sp._gram_flat(sp._slice_filter(a, lt)) for _, lt in sp._wishart_chunks(rng, size)]
+            chunks = [sp._gram_tri(*sp._slice_filter(a, d, z)) for _, d, z in sp._wishart_chunks(rng, size)]
             states = np.concatenate(chunks, axis=1).T.reshape(size, 4, 4)
             mins, lam_max = sp.ppt_min_eigs(states), np.linalg.eigvalsh(states)[:, -1]
             ppt, tie = mins >= -tol, np.abs(lam_max - 0.5) < sp._HALF_BAND
