@@ -297,7 +297,7 @@ def check_sampling_core(seed: int) -> Check:
     rho = sp.hs_random_state(rng)
     if not sp.is_valid_density_matrix(rho):
         return False, "flat-measure sample is not a density matrix"
-    u = next(sp._orbit_chunks(rng, 1))[1][..., 0]  # (column, row) of one orbit draw
+    u = sp._cgs2(next(sp._orbit_chunks(rng, 1))[1])[..., 0]  # (column, row) of one orbit draw
     if u.shape != (3, 4) or np.max(np.abs(u.conj() @ u.T - np.eye(3))) > 1e-12:
         return False, "orbit columns fail U†U = I"
     if np.max(np.abs(sp.partial_transpose(sp.partial_transpose(rho)) - rho)) != 0.0:

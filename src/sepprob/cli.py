@@ -257,6 +257,10 @@ def cmd_verify(args):
     return "verify all", {"deep": args.deep}, args.seed, results
 
 
+_THREADS_HELP = ("sampling threads, at most one per CPU; the output is the same at any count: "
+                "the draws run in parallel, the per-chunk arithmetic on one thread at a time")
+
+
 def _volumes_args(p):
     p.add_argument("--n", type=_positive(int), required=True)
     p.set_defaults(func=cmd_volumes)
@@ -279,7 +283,7 @@ def _marginal_args(p):
     mode.add_argument("--samples", type=_positive(int), default=0, help="sample a histogram of this size")
     p.add_argument("--bins", type=_positive(int), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_positive(int), default=1)
+    p.add_argument("--threads", type=_positive(int), default=1, help=_THREADS_HELP)
     p.add_argument("--csv", action="store_true", help="emit the --samples histogram as CSV")
     p.set_defaults(func=cmd_marginal)
 
@@ -297,7 +301,7 @@ def _sample_args(p):
     for q in (sep, conditioned):
         q.add_argument("--n", type=_positive(int), required=True)
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--threads", type=_positive(int), default=1)
+        q.add_argument("--threads", type=_positive(int), default=1, help=_THREADS_HELP)
         q.add_argument("--tol", type=_positive(float), help="PPT tolerance (default: sampling.PPT_TOL)")
         q.set_defaults(func=cmd_sample)
 

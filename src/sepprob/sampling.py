@@ -15,11 +15,15 @@ entry points carve the sample range into fixed blocks, one stream per
 block.  Inside a block the samplers stream cache-sized chunks, each read
 from the block's stream in order: the flat-measure estimator and the slice
 sampler read ``_wishart_chunks``, the orbit sampler ``_orbit_chunks``.
+Blocks run on threads, and ``_chunk_map`` lets one thread at a time run the
+arithmetic on a drawn chunk while the others draw.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -40,6 +44,13 @@ _BLOCK = 32768
 # determinant; the orbit sampler's draw, Gram-Schmidt and gaps): one
 # (_CHUNK,) complex operand is 64 KB, so the passes over it stay in L2.
 _CHUNK = 4096
+
+# Held by ``_chunk_map`` around the arithmetic on each drawn chunk, never
+# around a draw.  A chunk's arithmetic is ~150 numpy calls of a few
+# microseconds, each of which drops and retakes the GIL, so N threads running
+# it at once convoy on the GIL and run slower than one; the draws hold no GIL
+# for a whole chunk and overlap.  Uncontended at one thread.
+_ARITH_LOCK = threading.Lock()
 
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -98,6 +109,19 @@ def is_valid_density_matrix(rho: np.ndarray) -> bool:
     return float(np.linalg.eigvalsh(rho)[0]) >= -PSD_TOL
 
 
+def _chunk_map(fn, chunks: Iterator[tuple]) -> list:
+    """[fn(*chunk) for chunk in chunks], each ``fn`` call under
+    ``_ARITH_LOCK`` and each draw (the generator's next step) outside it: the
+    one place where a sampler's per-chunk arithmetic takes the lock.  An
+    exception in ``fn`` leaves the lock free and propagates."""
+    out = []
+    for chunk in chunks:
+        with _ARITH_LOCK:
+            out.append(fn(*chunk))
+        del chunk  # else this chunk stays alive while the next one is drawn
+    return out
+
+
 def _wishart_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The one flat-measure draw of the estimator and the slice sampler: the
     Bartlett factors L of a ``size``-sample block, as (start, d, z) per
@@ -110,12 +134,15 @@ def _wishart_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, 
     i = 0..3 and standard complex normals below the diagonal (the complex
     Bartlett decomposition; Goodman, Ann. Math. Stat. 34, 152, 1963), 16
     random numbers per state.  Each chunk reads ``rng`` in order:
-    standard_gamma(shape, m) for shapes 4, 3, 2, 1, square-rooted, then
-    standard_normal((2, 6, m)) / sqrt(2)."""
+    standard_gamma(shape, m) for shapes 4, 3, 2, 1 into the rows of d,
+    square-rooted in place, then standard_normal((2, 6, m)) / sqrt(2)."""
     scale = 1.0 / np.sqrt(2.0)
     for s in range(0, size, _CHUNK):
         m = min(_CHUNK, size - s)
-        d = np.sqrt([rng.standard_gamma(shape, m) for shape in (4.0, 3.0, 2.0, 1.0)])
+        d = np.empty((4, m))
+        for row, shape in zip(d, (4.0, 3.0, 2.0, 1.0)):
+            rng.standard_gamma(shape, out=row)
+        np.sqrt(d, out=d)
         z = rng.standard_normal((2, 6, m))
         z *= scale
         yield s, d, z
@@ -132,9 +159,12 @@ def _hs_random_block(rng: np.random.Generator, size: int) -> np.ndarray:
     draw through ``_gram_tri``, divided by its trace, as the estimator's
     decision reads it."""
     rho = np.empty((size, 16), dtype=complex)
-    for s, d, z in _wishart_chunks(rng, size):
+
+    def fill(s, d, z):
         wt = _gram_tri(d, z)
         rho[s : s + _CHUNK] = (wt / (wt[0] + wt[5] + wt[10] + wt[15]).real).T
+
+    _chunk_map(fill, _wishart_chunks(rng, size))
     return rho.reshape(size, 4, 4)
 
 
@@ -268,7 +298,8 @@ def _ppt_decide_flat(wt: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
         mins = ppt_min_eigs(wt[:, near].T.reshape(-1, 4, 4) / tr[near, None, None])
         return mins >= -tol, np.abs(mins) < tol
 
-    return _sign_decide(_det4([wt[k] for k in _PT_FLAT]) / tr**4, max(tol, _DET_FLOOR), exact)
+    tr2 = tr * tr  # tr**4 as two products: pow costs ~5x more
+    return _sign_decide(_det4([wt[k] for k in _PT_FLAT]) / (tr2 * tr2), max(tol, _DET_FLOOR), exact)
 
 
 def _ppt_decide(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +322,9 @@ def _blocked_map(fn, count: int, seed: int, threads: int, first_stream: int = 0)
 
     Block boundaries and stream keys depend only on (seed, count), so the
     concatenated output is identical for any thread count.  ``count`` must be
-    at least 1, as in ``SamplerConfig``.
+    at least 1, as in ``SamplerConfig``.  At most one worker per usable CPU:
+    a thread beyond them only takes CPU time from the one that holds
+    ``_ARITH_LOCK``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -301,8 +334,9 @@ def _blocked_map(fn, count: int, seed: int, threads: int, first_stream: int = 0)
         idx, size = block
         return fn(stream_rng(seed, first_stream + idx), size)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
     else:
         parts = [run(b) for b in blocks]
@@ -331,15 +365,18 @@ def estimate_sep_prob(config: SamplerConfig, threads: int = 1) -> SepEstimate:
     cache, with no matmul and no whole-block array.  The decision reads the
     sign of det(rho^Gamma) (``_sign_decide``), and eigvalsh only where
     |det| < max(tolerance, 1e-12); the counts are those of ``ppt_min_eigs``
-    on the normalised states.
+    on the normalised states.  Gram, decision and counts run under
+    ``_chunk_map``'s lock, the draws outside it.
     """
     if config.count < 1000:
         raise ValueError("estimate_sep_prob needs at least 1000 samples")
     tol = config.tolerance
 
+    def chunk_counts(_, d, z):
+        return [np.count_nonzero(m) for m in _ppt_decide_flat(_gram_tri(d, z), tol)]
+
     def block_stats(rng, size):
-        masks = (_ppt_decide_flat(_gram_tri(d, z), tol) for _, d, z in _wishart_chunks(rng, size))
-        return np.sum([[np.count_nonzero(m) for m in pair] for pair in masks], axis=0, keepdims=True)
+        return np.sum(_chunk_map(chunk_counts, _wishart_chunks(rng, size)), axis=0, keepdims=True)
 
     ppt, band = (int(c) for c in _blocked_map(block_stats, config.count, config.seed, threads).sum(axis=0))
     frac = ppt / config.count
@@ -355,16 +392,18 @@ def _two_qubit_spectrum(spectrum: Sequence[float]) -> np.ndarray:
 
 
 def _orbit_chunks(rng: np.random.Generator, size: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The one orbit draw: the first three columns u_1..u_3 of ``size`` Haar
-    unitaries, as (start, u) per chunk of m <= ``_CHUNK`` samples, u of shape
-    (3, 4, m) (column, row, sample).  A chunk reads ``rng`` as
-    standard_normal((2, 3, 4, m)), real then imaginary plane, unscaled: the
-    Gram-Schmidt columns of a complex Gaussian are Haar (Mezzadri, Notices
-    AMS 54, 592, 2007), and a two-qubit orbit needs only three of them."""
+    """The one orbit draw, for the first three columns u_1..u_3 of ``size``
+    Haar unitaries: (start, g) per chunk of m <= ``_CHUNK`` samples, g a
+    complex Gaussian of shape (3, 4, m) (column, row, sample) whose
+    ``_cgs2`` is u.  A chunk reads ``rng`` as standard_normal((2, 3, 4, m)),
+    real then imaginary plane, unscaled: the Gram-Schmidt columns of a
+    complex Gaussian are Haar (Mezzadri, Notices AMS 54, 592, 2007), and a
+    two-qubit orbit needs only three of them.  The consumer orthonormalises
+    under ``_chunk_map``'s lock, so the draw stays outside it."""
     for s in range(0, size, _CHUNK):
-        u = np.empty((3, 4, min(_CHUNK, size - s)), dtype=complex)
-        u.real, u.imag = rng.standard_normal((2, *u.shape))
-        yield s, _cgs2(u)
+        g = np.empty((3, 4, min(_CHUNK, size - s)), dtype=complex)
+        g.real, g.imag = rng.standard_normal((2, *g.shape))
+        yield s, g
 
 
 def sample_fixed_spectrum(spectrum: Sequence[float], rng: np.random.Generator) -> np.ndarray:
@@ -376,8 +415,12 @@ def _fixed_spectrum_block(lam: np.ndarray, rng: np.random.Generator, size: int) 
     """``size`` orbit states sum_{m<4} (lam_m - lam_4) |u_m><u_m| + lam_4 I
     from the ``_orbit_chunks`` draw that ``fixed_spectrum_gaps`` reads."""
     rho = np.empty((size, 4, 4), dtype=complex)
-    for s, u in _orbit_chunks(rng, size):
+
+    def fill(s, g):
+        u = _cgs2(g)
         rho[s : s + _CHUNK] = np.einsum("mib,m,mjb->bij", u, lam[:3] - lam[3], u.conj())
+
+    _chunk_map(fill, _orbit_chunks(rng, size))
     rho[:, range(4), range(4)] += lam[3]
     return rho
 
@@ -388,14 +431,17 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
     Never builds rho.  sum_m u_m u_m^dag = I and Tr_2 I = 2 I, so the first
     reduced state is 2 lambda_4 I + sum_{m<4} (lambda_m - lambda_4) Tr_2
     |u_m><u_m|, and the gap, which ignores the multiple of I, reads only the
-    ``_orbit_chunks`` columns u_1..u_3.
+    ``_orbit_chunks`` columns u_1..u_3.  Gram-Schmidt and the gap run
+    under ``_chunk_map``'s lock, the draws outside it.
     """
     lam = _two_qubit_spectrum(spectrum)
     w = lam[:3] - lam[3]
 
     def block(rng, size):
         out = np.empty(size)
-        for s, u in _orbit_chunks(rng, size):
+
+        def gaps(s, g):
+            u = _cgs2(g)
             p = u.real**2 + u.imag**2
             # Tr_2 |u><u| = [[|u0|^2 + |u1|^2, u0 u2* + u1 u3*], [., |u2|^2 + |u3|^2]].
             # Summed column by column, not as w @ (...): BLAS would start
@@ -403,7 +449,8 @@ def fixed_spectrum_gaps(spectrum: Sequence[float], count: int, seed: int, thread
             half_diff = 0.5 * sum(wk * (pk[0] + pk[1] - pk[2] - pk[3]) for wk, pk in zip(w, p))
             off = sum(wk * (uk[0] * uk[2].conj() + uk[1] * uk[3].conj()) for wk, uk in zip(w, u))
             out[s : s + _CHUNK] = 2.0 * np.sqrt(half_diff**2 + np.abs(off) ** 2)
-            del u  # else this chunk stays alive while the next one is drawn
+
+        _chunk_map(gaps, _orbit_chunks(rng, size))
         return out
 
     return _blocked_map(block, count, seed, threads)
@@ -573,13 +620,14 @@ def conditioned_ppt_stats(a: float, config: SamplerConfig, threads: int = 1) -> 
     go through the estimator's ``_gram_tri`` and both verdicts, the PPT test
     and lambda_max <= 1/2, each read from the sign of a determinant
     (``_sign_decide``); the counts are summed chunk by chunk.  The blocks
-    run on ``threads`` threads and the counts are the same at any thread
+    run on ``threads`` threads, with filter, Gram and verdicts under
+    ``_chunk_map``'s lock, and the counts are the same at any thread
     count."""
     if not 0.0 <= a < 1.0:
         raise ValueError("Bloch radius must lie in [0, 1)")
     tol = config.tolerance
 
-    def chunk_counts(d, z):
+    def chunk_counts(_, d, z):
         wt = _gram_tri(*_slice_filter(a, d, z))
         ppt, indeterminate = _ppt_decide_flat(wt, tol)
         bounded, in_band = _half_bounded(wt, tol)
@@ -587,7 +635,7 @@ def conditioned_ppt_stats(a: float, config: SamplerConfig, threads: int = 1) -> 
         return [np.count_nonzero(m) for m in (ppt, indeterminate, in_band, agree)]
 
     def block_stats(rng, size):
-        return np.sum([chunk_counts(d, z) for _, d, z in _wishart_chunks(rng, size)], axis=0, keepdims=True)
+        return np.sum(_chunk_map(chunk_counts, _wishart_chunks(rng, size)), axis=0, keepdims=True)
 
     counts = _blocked_map(block_stats, config.count, config.seed, threads, _SLICE_STREAMS).sum(axis=0)
     ppt, indeterminate, in_band, agree = (int(c) for c in counts)

@@ -1,10 +1,11 @@
 """Compare golden CLI outputs with fresh runs, or rewrite them from fresh runs:
 python tests/golden/check.py [--cmd PREFIX] [--write] FILE.json...
-Each file is {"source_commit", "versions": {"numpy"}, "entries": [{"argv", "results" | "checks" | "stdout"}]};
+Each file is {"source_commit", "source_sha256", "versions": {"numpy"}, "entries": [{"argv", "results" | "checks" | "stdout"}]};
 each argv runs as PREFIX argv, by default this interpreter with -m sepprob.cli.  Stdlib only, so it runs
 without numpy."""
 
 import argparse
+import hashlib
 import json
 import shlex
 import subprocess
@@ -67,10 +68,22 @@ def source_commit() -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
+def source_sha256() -> str:
+    """SHA-256 over each src/**/*.py of the checkout that holds this script,
+    in path order, as its relative path, a NUL and its bytes: the
+    ``source_sha256`` of perfbench/run.py's machine record, which names the
+    tree that ran even when the commit stamp is the parent's."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def write(path, runs: list) -> list:
     """Rewrite the golden file at ``path`` from its entries' runs, (entry,
-    exit code, stdout, stderr) each, stamped with ``source_commit()`` and the
-    numpy the runs report; return the argv of every entry whose pin changed."""
+    exit code, stdout, stderr) each, stamped with ``source_commit()``,
+    ``source_sha256()`` and the numpy the runs report; return the argv of every entry whose pin changed."""
     entries, changed, numpy = [], [], None
     for entry, code, out, _ in runs:
         key, (got, run_numpy) = pin_key(entry), run_pin(entry, out)
@@ -78,7 +91,8 @@ def write(path, runs: list) -> list:
         entries.append({**entry, key: got})
         if got != entry[key]:
             changed.append(shlex.join(entry["argv"]))
-    doc = {"source_commit": source_commit(), "versions": {"numpy": numpy}, "entries": entries}
+    doc = {"source_commit": source_commit(), "source_sha256": source_sha256(), "versions": {"numpy": numpy},
+           "entries": entries}
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
     return changed
 

@@ -3,6 +3,7 @@ of unchanged outputs changes only the stamps, and a write repairs a
 corrupted value that check mode reports.  Both modes name a run that fails
 by its exit code and last stderr line."""
 
+import hashlib
 import json
 import shlex
 import shutil
@@ -12,6 +13,16 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden"
 EXACT_FILES = ("integrate.json", "exact_verbs.json")
+
+
+def src_sha256() -> str:
+    """The digest of perfbench/run.py's machine record: each src/**/*.py in
+    path order, as its relative path, a NUL and its bytes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def runner(child_env, *args):
@@ -33,9 +44,10 @@ def test_write_of_unchanged_outputs_changes_only_the_stamps(tmp_path, child_env)
     for name in EXACT_FILES:
         assert entries_text(tmp_path / name) == entries_text(GOLDEN / name)
         doc = json.loads((tmp_path / name).read_text())
-        assert list(doc) == ["source_commit", "versions", "entries"]
+        assert list(doc) == ["source_commit", "source_sha256", "versions", "entries"]
         # The exact verbs never load numpy, so the runs report none.
         assert isinstance(doc["source_commit"], str) and doc["versions"] == {"numpy": None}
+        assert doc["source_sha256"] == src_sha256()
 
 
 def test_check_reports_and_write_repairs_a_corrupted_value(tmp_path, child_env):

@@ -17,6 +17,7 @@ changes.
 """
 
 import json
+import threading
 import tracemalloc
 from fractions import Fraction as F
 
@@ -84,8 +85,9 @@ def qr_orbit_columns(rng, size: int):
 
 
 def orbit_columns(rng, size: int) -> np.ndarray:
-    """All ``_orbit_chunks`` columns of one stream, shape (3, 4, size)."""
-    return np.concatenate([u for _, u in sp._orbit_chunks(rng, size)], axis=2)
+    """All ``_orbit_chunks`` columns of one stream, orthonormalised by
+    ``_cgs2``, shape (3, 4, size)."""
+    return np.concatenate([sp._cgs2(g) for _, g in sp._orbit_chunks(rng, size)], axis=2)
 
 
 class TestHaarUnitary:
@@ -303,6 +305,27 @@ class TestSepEstimator:
     def test_thread_count_irrelevant(self):
         cfg = sp.SamplerConfig(seed=78, count=50_000)
         assert sp.estimate_sep_prob(cfg, threads=1) == sp.estimate_sep_prob(cfg, threads=3)
+
+    def test_error_in_locked_stage_propagates_and_frees_the_lock(self, monkeypatch):
+        cfg = sp.SamplerConfig(seed=78, count=50_000)
+        # Two usable CPUs, so two workers whatever the host has.
+        monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        gram, calls = sp._gram_tri, []
+
+        def third_call_raises(d, z):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise RuntimeError("third chunk")
+            return gram(d, z)
+
+        monkeypatch.setattr(sp, "_gram_tri", third_call_raises)
+        with pytest.raises(RuntimeError, match="third chunk"):
+            sp.estimate_sep_prob(cfg, threads=2)
+        assert calls[2] is not threading.main_thread()
+        assert sp._ARITH_LOCK.acquire(blocking=False)
+        sp._ARITH_LOCK.release()
+        monkeypatch.setattr(sp, "_gram_tri", gram)
+        assert sp.estimate_sep_prob(cfg, threads=2) == sp.estimate_sep_prob(cfg, threads=1)
 
     def test_fraction_near_target_small_run(self):
         est = sp.estimate_sep_prob(sp.SamplerConfig(seed=79, count=50_000))
