@@ -83,7 +83,8 @@ def source_sha256() -> str:
 def write(path, runs: list) -> list:
     """Rewrite the golden file at ``path`` from its entries' runs, (entry,
     exit code, stdout, stderr) each, stamped with ``source_commit()``,
-    ``source_sha256()`` and the numpy the runs report; return the argv of every entry whose pin changed."""
+    ``source_sha256()`` and the numpy the runs report; return the argv of
+    every entry whose pin changed."""
     entries, changed, numpy = [], [], None
     for entry, code, out, _ in runs:
         key, (got, run_numpy) = pin_key(entry), run_pin(entry, out)

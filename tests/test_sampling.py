@@ -318,10 +318,19 @@ class TestSepEstimator:
                 raise RuntimeError("third chunk")
             return gram(d, z)
 
+        def run():
+            with pytest.raises(RuntimeError, match="third chunk"):
+                sp.estimate_sep_prob(cfg, threads=2)
+            raised.append(True)
+
         monkeypatch.setattr(sp, "_gram_tri", third_call_raises)
-        with pytest.raises(RuntimeError, match="third chunk"):
-            sp.estimate_sep_prob(cfg, threads=2)
-        assert calls[2] is not threading.main_thread()
+        # In a thread with a timeout: a lock left held would block the
+        # other worker, and so the call, forever.
+        raised, caller = [], threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and raised == [True]
+        assert calls[2] not in (threading.main_thread(), caller)
         assert sp._ARITH_LOCK.acquire(blocking=False)
         sp._ARITH_LOCK.release()
         monkeypatch.setattr(sp, "_gram_tri", gram)
